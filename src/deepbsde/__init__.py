@@ -1,13 +1,15 @@
 """Deep BSDE solver: trains per-step networks so a simulated backward process
 matches the terminal condition of a semilinear parabolic PDE, then reads off
-u(0, xi) from the initial head. Ships its own reverse-mode tape, a counter-based
-RNG with reproducible sub-streams, and independent oracles for validation.
+u(0, xi) from the initial head. Ships a hand-derived adjoint of the rollout, a
+counter-based RNG with reproducible sub-streams, and independent oracles for
+validation.
 """
 
-from .autodiff import Tape, Var, backward, loss_mse
 from .bsde import (
     RolloutResult,
+    Tape,
     ValueRollout,
+    backward,
     estimate_u0,
     oracle_rollout_loss,
     rollout_loss,
@@ -82,7 +84,6 @@ __all__ = [
     "Tape",
     "TimeGrid",
     "ValueRollout",
-    "Var",
     "XiSampler",
     "adam_step",
     "backward",
@@ -97,7 +98,6 @@ __all__ = [
     "init_params",
     "load_archive",
     "load_params",
-    "loss_mse",
     "lr_at",
     "make_uniform_grid",
     "mc_feynman_kac",

@@ -1,42 +1,78 @@
-"""Controlled rollout of the discretized value process and its losses.
+"""The discretized value process, its loss, and the loss's adjoint.
 
-Given simulated paths, the rollout threads a value estimate Y through time:
-start from the initial-value head, and at each step n subtract the driver
-contribution f * dt and add the gradient network's inner product with the
-Brownian increment. The training loss is the mean squared mismatch between
-the terminal value and g evaluated on the terminal state.
+Given simulated paths, the rollout threads a value estimate Y through time,
 
-Three routes compute the same recursion:
-  - rollout_loss: on the tape, differentiable w.r.t. the bank
-  - rollout_values: plain numpy, for evaluation and statistical checks
-  - oracle_rollout_loss: plain numpy with the closed-form solution standing
-    in for the networks; isolates pure time-discretization error
+    Y_{n+1} = Y_n - f(t_n, X_n, Y_n, Z_n) dt_n + Z_n . dW_n,
+
+and the loss is the mean squared gap between Y_N and g(X_N). `_forward` is
+the one place this recursion runs; its callers differ only in where Y_0 and
+each Z_n come from:
+  - rollout_loss: the bank's networks, saving on a Tape what the adjoint
+    reads, so that `backward` returns the gradient over the bank
+  - rollout_values: the bank's networks, saving nothing, for evaluation
+  - oracle_rollout_loss: the closed-form solution in place of the networks,
+    which isolates pure time-discretization error
+
+`backward` is the hand-derived adjoint. From ybar_N = 2 (Y_N - g) / B it
+runs, for n = N-1, ..., 0,
+
+    zbar_n = ybar_{n+1} (dW_n - dt_n f_z),   ybar_n = ybar_{n+1} (1 - dt_n f_y),
+
+with the driver partials of `ProblemSpec.df`. Each zbar_n runs back through
+step n's network (a shared network sums its gradients over the steps, the
+plain z0 sums over the batch), and ybar_0 through the initial-value head.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    Tape, Var, loss_mse, record_affine, record_dot, record_linear_combination,
-)
 from .errors import ConfigError, NumericError, ShapeError
-from .net import bind_mlp, mlp_eval, mlp_forward
+from .net import mlp_backward, mlp_eval
 from .problems import sample_xi
+
+
+class Node:
+    """One array a rollout saved: its `value` and, where the reverse sweep
+    keeps one, `adjoint`, the gradient of the loss with respect to it."""
+
+    __slots__ = ("value", "adjoint")
+
+    def __init__(self, value):
+        self.value = value
+        self.adjoint = None
+
+
+class Tape:
+    """Record of one differentiable rollout.
+
+    `nodes` lists the arrays the forward saved for `backward`, the loss
+    last. `param_ids` holds one id per bank tensor in flatten order; they
+    key the gradients `backward` returns.
+    """
+
+    def __init__(self):
+        self.nodes = []
+        self.param_ids = []
+        self._record = None
+
+    def __len__(self):
+        return len(self.nodes)
 
 
 @dataclass(frozen=True)
 class RolloutResult:
-    """Differentiable loss plus per-sample diagnostics (plain arrays)."""
+    """Loss node plus per-sample diagnostics (plain arrays)."""
 
-    loss: Var
+    loss: Node
     y0_values: np.ndarray
     terminal_gap: np.ndarray
 
 
 @dataclass(frozen=True)
 class ValueRollout:
-    """Tape-free rollout outputs."""
+    """Rollout outputs without a tape."""
 
     loss: float
     y0_values: np.ndarray
@@ -44,13 +80,9 @@ class ValueRollout:
     terminal_gap: np.ndarray
 
 
-def _check_rollout_inputs(problem, bank, grid, paths, increments):
+def _check_paths(problem, grid, paths, increments):
     states = paths.states
     incs = increments.increments
-    if bank.d != problem.d:
-        raise ConfigError(f"bank dimension {bank.d} != problem dimension {problem.d}")
-    if bank.num_steps != grid.num_steps:
-        raise ConfigError(f"bank has {bank.num_steps} steps, grid has {grid.num_steps}")
     if states.ndim != 3 or incs.ndim != 3:
         raise ShapeError("paths and increments must be [batch, steps(+1), d] arrays")
     batch = states.shape[0]
@@ -71,131 +103,135 @@ def _terminal_values(problem, x_terminal):
     return g
 
 
-class _BoundBank:
-    """Bank tensors inserted on a tape in flatten order, shared nets bound once."""
-
-    def __init__(self, tape, bank):
-        self.bank = bank
-        if bank.mode == "general_xi":
-            self.y0_net = bind_mlp(tape, bank.y0_net, "psi0")
-            self.y0_var = None
-            self.z0_var = None
-        else:
-            self.y0_net = None
-            self.y0_var = tape.parameter(np.array([[bank.y0]]), name="y0")
-            self.z0_var = tape.parameter(np.asarray(bank.z0)[None, :], name="z0")
-        labels = bank._z_net_labels()
-        self._bound_z = [bind_mlp(tape, net, lbl) for lbl, net in zip(labels, bank.z_nets)]
-
-    def z_bound(self, n):
-        bank = self.bank
-        if bank.mode == "deterministic_xi":
-            if n == 0:
-                return None
-            return self._bound_z[0] if bank.sharing == "shared" else self._bound_z[n - 1]
-        return self._bound_z[0] if bank.sharing == "shared" else self._bound_z[n]
+def _mse(gap):
+    loss = float(np.mean(gap ** 2))
+    if not math.isfinite(loss):
+        raise NumericError("non-finite loss")
+    return loss
 
 
-def _driver_term(problem, tape, t, x_plain, y_var, z_var, batch, n):
-    try:
-        fv = problem.f(t, x_plain, y_var, z_var)
-    except NumericError as e:
-        raise NumericError(f"driver evaluation failed at step {n}: {e}") from e
-    if not isinstance(fv, Var):
-        arr = np.broadcast_to(np.asarray(fv, dtype=np.float64), (batch, 1))
-        if not np.all(np.isfinite(arr)):
-            bad = int(np.argwhere(~np.isfinite(arr))[0][0])
-            raise NumericError(f"non-finite driver value at step {n}, sample {bad}")
-        fv = tape.constant(arr)
-    if fv.shape != (batch, 1):
-        raise ShapeError(f"driver must produce [batch, 1], got {fv.shape}")
-    return fv
+def _forward(problem, grid, states, incs, y, z_at, steps=None):
+    """Y_N, [batch, 1], of the recursion from Y_0 = y.
 
-
-def rollout_loss(tape, problem, bank, grid, paths, increments):
-    """Differentiable rollout; returns RolloutResult.
-
-    Parameters are bound to the tape in flatten order, so `tape.param_ids`
-    lines up with flatten_params / unflatten_params and gradient vectors can
-    be assembled by simple concatenation.
+    z_at(n, x_n, saved) gives Z_n; with a `steps` list it appends what the
+    adjoint reads to `saved`, and step n appends (saved, 1 - dt f_y,
+    dW - dt f_z) to `steps`.
     """
-    states, incs, batch = _check_rollout_inputs(problem, bank, grid, paths, increments)
+    batch = states.shape[0]
     times = grid.times
-    bound = _BoundBank(tape, bank)
-
-    ones = None
-    if bank.mode == "deterministic_xi":
-        ones = tape.constant(np.ones((batch, 1)))
-        zero1 = tape.constant(np.zeros(1))
-        zerod = tape.constant(np.zeros(problem.d))
-        y = record_affine(tape, ones, bound.y0_var, zero1)
-    else:
-        x0 = tape.constant(states[:, 0, :], name="x0")
-        y = mlp_forward(tape, bound.y0_net, x0)
-    y0_values = y.value[:, 0].copy()
-
     for n in range(grid.num_steps):
         t_n = float(times[n])
         dt_n = float(times[n + 1] - times[n])
         x_n = states[:, n, :]
-        znet = bound.z_bound(n)
-        if znet is None:
-            z = record_affine(tape, ones, bound.z0_var, zerod)
+        dw = incs[:, n, :]
+        saved = None if steps is None else []
+        z = z_at(n, x_n, saved)
+        gain = np.sum(z * dw, axis=1, keepdims=True)
+        if problem.f is None:
+            y_next = y + gain
+            a, c = 1.0, dw
         else:
-            z = mlp_forward(tape, znet, tape.constant(x_n))
-        dw = tape.constant(incs[:, n, :])
-        gain = record_dot(tape, z, dw)
-        terms = [(1.0, y)]
-        if problem.f is not None:
-            fv = _driver_term(problem, tape, t_n, x_n, y, z, batch, n)
-            terms.append((-dt_n, fv))
-        terms.append((1.0, gain))
-        y = record_linear_combination(tape, terms)
-
-    g = _terminal_values(problem, states[:, grid.num_steps, :])
-    target = tape.constant(g[:, None], name="terminal")
-    loss = loss_mse(tape, y, target)
-    gap = g - y.value[:, 0]
-    return RolloutResult(loss=loss, y0_values=y0_values, terminal_gap=gap)
-
-
-def rollout_values(problem, bank, grid, paths, increments):
-    """Tape-free twin of rollout_loss (same arithmetic, plain numpy)."""
-    states, incs, batch = _check_rollout_inputs(problem, bank, grid, paths, increments)
-    times = grid.times
-
-    if bank.mode == "deterministic_xi":
-        y = np.full((batch, 1), bank.y0, dtype=np.float64)
-    else:
-        y = mlp_eval(bank.y0_net, states[:, 0, :])
-    y0_values = y[:, 0].copy()
-
-    for n in range(grid.num_steps):
-        t_n = float(times[n])
-        dt_n = float(times[n + 1] - times[n])
-        x_n = states[:, n, :]
-        znet = bank.z_net(n)
-        if znet is None:
-            z = np.broadcast_to(bank.z0, (batch, problem.d))
-        else:
-            z = mlp_eval(znet, x_n)
-        gain = np.sum(z * incs[:, n, :], axis=1, keepdims=True)
-        acc = 1.0 * y
-        if problem.f is not None:
             fv = np.broadcast_to(
                 np.asarray(problem.f(t_n, x_n, y, z), dtype=np.float64), (batch, 1)
             )
-            if not np.all(np.isfinite(fv)):
-                bad = int(np.argwhere(~np.isfinite(fv))[0][0])
-                raise NumericError(f"non-finite driver value at step {n}, sample {bad}")
-            acc = acc + (-dt_n) * fv
-        y = acc + 1.0 * gain
+            y_next = y - dt_n * fv + gain
+            if steps is not None:
+                f_y, f_z = problem.df(t_n, x_n, y, z)
+                a, c = 1.0 - dt_n * f_y, dw - dt_n * f_z
+        if steps is not None:
+            steps.append((saved, a, c))
+        y = y_next
+        if not np.all(np.isfinite(y)):
+            bad = int(np.argwhere(~np.isfinite(y[:, 0]))[0][0])
+            raise NumericError(f"non-finite value at step {n}, sample {bad}")
+    return y
 
-    g = _terminal_values(problem, states[:, grid.num_steps, :])
+
+def _bank_rollout(problem, bank, grid, paths, increments, head=None, steps=None):
+    """(Y_0, Y_N, g(X_N)) with the bank's networks; `head` and `steps`
+    receive what the adjoint reads when given."""
+    if bank.d != problem.d:
+        raise ConfigError(f"bank dimension {bank.d} != problem dimension {problem.d}")
+    if bank.num_steps != grid.num_steps:
+        raise ConfigError(f"bank has {bank.num_steps} steps, grid has {grid.num_steps}")
+    states, incs, batch = _check_paths(problem, grid, paths, increments)
+
+    if bank.mode == "deterministic_xi":
+        y0 = np.full((batch, 1), bank.y0, dtype=np.float64)
+    else:
+        y0 = mlp_eval(bank.y0_net, states[:, 0, :], head)
+
+    def z_at(n, x_n, saved):
+        k = bank.z_index(n)
+        if k is None:
+            return np.broadcast_to(bank.z0, x_n.shape)
+        return mlp_eval(bank.z_nets[k], x_n, saved)
+
+    y = _forward(problem, grid, states, incs, y0, z_at, steps)
+    return y0, y, _terminal_values(problem, states[:, -1, :])
+
+
+def rollout_loss(tape, problem, bank, grid, paths, increments):
+    """Rollout that records on a fresh `tape` what `backward` reads.
+
+    `tape.param_ids` follows flatten_params order, so a gradient vector is
+    the concatenation of backward's arrays in that order.
+    """
+    if tape.nodes:
+        raise ConfigError("a tape records one rollout; pass a fresh Tape")
+    head, steps = [], []
+    y0, y, g = _bank_rollout(problem, bank, grid, paths, increments, head, steps)
+    gap = g - y[:, 0]
+    loss = Node(np.array(_mse(gap)))
+    arrays = head + [v for saved, a, c in steps for v in (*saved, a, c)] + [y]
+    tape.nodes = [Node(v) for v in arrays if isinstance(v, np.ndarray)] + [loss]
+    tape.param_ids = list(range(len(bank.tensor_items())))
+    tape._record = (bank, head, steps, y, g)
+    return RolloutResult(loss=loss, y0_values=y0[:, 0].copy(), terminal_gap=gap)
+
+
+def backward(tape, loss):
+    """Reverse sweep of the rollout on `tape`; returns {param id: gradient},
+    each gradient shaped like its bank tensor."""
+    if tape._record is None or loss is not tape.nodes[-1]:
+        raise ConfigError("backward needs the loss of the rollout recorded on this tape")
+    bank, head, steps, y, g = tape._record
+    loss.adjoint = np.ones_like(loss.value)
+    ybar = (2.0 / y.shape[0]) * (y - g[:, None])
+    z_grads = [None] * len(bank.z_nets)
+    z0_grad = None
+    for n in range(len(steps) - 1, -1, -1):
+        saved, a, c = steps[n]
+        zbar = ybar * c
+        ybar = ybar * a
+        k = bank.z_index(n)
+        if k is None:
+            z0_grad = zbar.sum(axis=0)
+        elif z_grads[k] is None:
+            z_grads[k] = mlp_backward(bank.z_nets[k], saved, zbar)
+        else:
+            for (gw, gb), (dw, db) in zip(z_grads[k], mlp_backward(bank.z_nets[k], saved, zbar)):
+                gw += dw
+                gb += db
+
+    if bank.mode == "general_xi":
+        flat = [arr for layer in mlp_backward(bank.y0_net, head, ybar) for arr in layer]
+    else:
+        flat = [ybar.sum(axis=0), z0_grad]
+    flat.extend(arr for layers in z_grads for layer in layers for arr in layer)
+    for (name, _), arr in zip(bank.tensor_items(), flat):
+        if not np.all(np.isfinite(arr)):
+            raise NumericError(f"non-finite gradient for tensor '{name}'")
+    return dict(zip(tape.param_ids, flat))
+
+
+def rollout_values(problem, bank, grid, paths, increments):
+    """The forward of rollout_loss, saving nothing, as plain arrays."""
+    y0, y, g = _bank_rollout(problem, bank, grid, paths, increments)
     gap = g - y[:, 0]
     return ValueRollout(
-        loss=float(np.mean(gap ** 2)),
-        y0_values=y0_values,
+        loss=_mse(gap),
+        y0_values=y0[:, 0].copy(),
         terminal_values=y[:, 0].copy(),
         terminal_gap=gap,
     )
@@ -210,35 +246,16 @@ def oracle_rollout_loss(problem, grid, paths, increments):
     """
     if problem.exact is None:
         raise ConfigError(f"problem '{problem.name}' has no closed-form solution")
-    states = paths.states
-    incs = increments.increments
-    batch = states.shape[0]
-    if states.shape != (batch, grid.num_steps + 1, problem.d):
-        raise ShapeError(f"paths shaped {states.shape} do not match the grid")
-    times = grid.times
+    states, incs, batch = _check_paths(problem, grid, paths, increments)
+    y0 = np.asarray(problem.exact.u(0.0, states[:, 0, :]), dtype=np.float64).reshape(batch, 1)
 
-    x0 = states[:, 0, :]
-    y = np.asarray(problem.exact.u(0.0, x0), dtype=np.float64).reshape(batch, 1)
-    for n in range(grid.num_steps):
-        t_n = float(times[n])
-        dt_n = float(times[n + 1] - times[n])
-        x_n = states[:, n, :]
+    def z_at(n, x_n, saved):
+        t_n = float(grid.times[n])
         grad = np.asarray(problem.exact.grad(t_n, x_n), dtype=np.float64)
-        z = problem.sigma.apply_transpose(t_n, x_n, grad)
-        gain = np.sum(z * incs[:, n, :], axis=1, keepdims=True)
-        acc = 1.0 * y
-        if problem.f is not None:
-            fv = np.broadcast_to(
-                np.asarray(problem.f(t_n, x_n, y, z), dtype=np.float64), (batch, 1)
-            )
-            acc = acc + (-dt_n) * fv
-        y = acc + 1.0 * gain
-        if not np.all(np.isfinite(y)):
-            bad = int(np.argwhere(~np.isfinite(y))[0][0])
-            raise NumericError(f"non-finite value at step {n}, sample {bad}")
+        return problem.sigma.apply_transpose(t_n, x_n, grad)
 
-    g = _terminal_values(problem, states[:, grid.num_steps, :])
-    return float(np.mean((g - y[:, 0]) ** 2))
+    y = _forward(problem, grid, states, incs, y0, z_at)
+    return _mse(_terminal_values(problem, states[:, -1, :]) - y[:, 0])
 
 
 def estimate_u0(bank, problem, n_eval, stream):

@@ -1,4 +1,5 @@
-"""Feedforward subnetworks and the parameter bank that drives a rollout.
+"""Feedforward subnetworks with their forward and backward passes, and the
+parameter bank that drives a rollout.
 
 A bank holds the initial-value head (a network when the starting point is
 random, a plain trainable scalar plus gradient vector when it is a fixed
@@ -15,12 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import ACTIVATION_KINDS, record_activation, record_affine
 from .errors import ConfigError, ShapeError
 from .sde import RngStream
 
 MODES = ("general_xi", "deterministic_xi")
 SHARINGS = ("independent", "shared")
+ACTIVATION_KINDS = ("tanh", "relu", "identity")
 
 
 @dataclass(frozen=True)
@@ -67,45 +68,20 @@ def init_params(config, seed):
     return MLPParams(config, weights, biases)
 
 
-@dataclass
-class BoundMLP:
-    """Network tensors already inserted on a tape as parameter nodes."""
+def mlp_eval(params, x, saved=None):
+    """Forward pass; hidden activations only, identity output.
 
-    config: MLPConfig
-    layers: list  # [(weight Var, bias Var), ...]
-
-
-def bind_mlp(tape, params, prefix=""):
-    layers = []
-    for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        wv = tape.parameter(w, name=f"{prefix}.layer_{k}.weight" if prefix else None)
-        bv = tape.parameter(b, name=f"{prefix}.layer_{k}.bias" if prefix else None)
-        layers.append((wv, bv))
-    return BoundMLP(params.config, layers)
-
-
-def mlp_forward(tape, params, x):
-    """Differentiable forward pass; hidden activations only, identity output.
-
-    `params` may be MLPParams (tensors are bound to the tape here) or a
-    BoundMLP when the caller shares one binding across several calls.
+    With a `saved` list, the input of every layer is appended to it: that
+    is all mlp_backward reads.
     """
-    if isinstance(params, MLPParams):
-        params = bind_mlp(tape, params)
-    h = x
-    last = len(params.layers) - 1
-    for k, (wv, bv) in enumerate(params.layers):
-        h = record_affine(tape, h, wv, bv)
-        if k < last:
-            h = record_activation(tape, h, params.config.activation)
-    return h
-
-
-def mlp_eval(params, x):
-    """Tape-free forward pass; same operation order as mlp_forward."""
     h = np.asarray(x, dtype=np.float64)
+    width = params.config.layer_widths[0]
+    if h.ndim != 2 or h.shape[1] != width:
+        raise ShapeError(f"network expects [batch, {width}] inputs, got {h.shape}")
     last = len(params.weights) - 1
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
+        if saved is not None:
+            saved.append(h)
         h = h @ w + b
         if k < last:
             if params.config.activation == "tanh":
@@ -113,6 +89,30 @@ def mlp_eval(params, x):
             elif params.config.activation == "relu":
                 h = np.maximum(h, 0.0)
     return h
+
+
+def mlp_backward(params, saved, grad_out):
+    """[(weight grad, bias grad), ...] per layer of sum(grad_out * output).
+
+    `saved` holds the layer inputs mlp_eval recorded. A layer input after
+    an activation is the activation's output, which gives its derivative:
+    1 - h^2 for tanh, and h > 0 for relu (derivative 0 at the kink). The
+    gradient with respect to the network input is never formed.
+    """
+    grads = []
+    g = grad_out
+    for k in range(len(params.weights) - 1, -1, -1):
+        h = saved[k]
+        grads.append((h.T @ g, g.sum(axis=0)))
+        if k == 0:
+            break
+        g = g @ params.weights[k].T
+        if params.config.activation == "tanh":
+            g = g * (1.0 - h * h)
+        elif params.config.activation == "relu":
+            g = g * (h > 0.0)
+    grads.reverse()
+    return grads
 
 
 @dataclass
@@ -185,15 +185,21 @@ class SubnetBank:
             y0=0.0, z0=np.zeros(d, dtype=np.float64), z_nets=z_nets,
         )
 
-    def z_net(self, n):
-        """Gradient network used at step n (None when step 0 uses plain z0)."""
+    def z_index(self, n):
+        """Index into `z_nets` of the network used at step n (None when
+        step 0 uses plain z0)."""
         if not 0 <= n < self.num_steps:
             raise ConfigError(f"step {n} outside 0..{self.num_steps - 1}")
         if self.mode == "deterministic_xi":
             if n == 0:
                 return None
-            return self.z_nets[0] if self.sharing == "shared" else self.z_nets[n - 1]
-        return self.z_nets[0] if self.sharing == "shared" else self.z_nets[n]
+            return 0 if self.sharing == "shared" else n - 1
+        return 0 if self.sharing == "shared" else n
+
+    def z_net(self, n):
+        """Gradient network used at step n (None when step 0 uses plain z0)."""
+        k = self.z_index(n)
+        return None if k is None else self.z_nets[k]
 
     def _z_net_labels(self):
         if self.sharing == "shared":

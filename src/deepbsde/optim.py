@@ -60,11 +60,23 @@ def adam_step(state, params, grads, lr):
     if state.m.shape != params.shape:
         raise ShapeError(f"state sized {state.m.shape} does not match params {params.shape}")
     t = state.step_count + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    new_params = params - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    # in place on four fresh arrays; every operation keeps the operand order
+    # of the textbook form, ((1 - beta2) g) g included, so the results are
+    # bitwise those of params - lr m_hat / (sqrt(v_hat) + eps)
+    m = state.m * state.beta1
+    tmp = np.multiply(grads, 1.0 - state.beta1)
+    m += tmp
+    v = state.v * state.beta2
+    np.multiply(grads, 1.0 - state.beta2, out=tmp)
+    tmp *= grads
+    v += tmp
+    np.divide(v, 1.0 - state.beta2 ** t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += state.eps
+    new_params = m / (1.0 - state.beta1 ** t)
+    new_params *= lr
+    new_params /= tmp
+    np.subtract(params, new_params, out=new_params)
     new_state = AdamState(m=m, v=v, step_count=t,
                           beta1=state.beta1, beta2=state.beta2, eps=state.eps)
     return new_params, new_state

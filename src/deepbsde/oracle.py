@@ -55,11 +55,12 @@ def mc_feynman_kac(problem, x0, n_samples, grid, stream):
 def cole_hopf_mc(lam, g, x0, horizon, n_samples, stream):
     """One-shot Monte Carlo for the quadratic-cost control problem.
 
-    For zero drift, sigma = sqrt(2) I and driver -lam |z|^2 the solution at
-    (0, x0) reduces to -(1/lam) log E[exp(-lam g(x0 + sqrt(2) W_T))], which
-    needs only terminal Brownian draws. The log-average is computed with the
-    max subtracted for overflow safety, and the standard error comes from the
-    delta method on the exponential average.
+    For zero drift, sigma = sqrt(2) I and driver -(lam/2) |z|^2, that is
+    u_t + Lap u - lam |grad u|^2 = 0, the solution at (0, x0) reduces to
+    -(1/lam) log E[exp(-lam g(x0 + sqrt(2) W_T))], which needs only terminal
+    Brownian draws. The log-average is computed with the max subtracted for
+    overflow safety, and the standard error comes from the delta method on
+    the exponential average.
     """
     if lam <= 0.0:
         raise ConfigError(f"lambda must be positive, got {lam}")

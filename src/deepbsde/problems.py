@@ -3,10 +3,10 @@ and the built-in benchmark instances.
 
 Conventions shared across the library:
   - drift mu(t, x) and terminal g(x) take x as [batch, d]; g returns [batch]
-  - a driver f(t, x, y, z) takes y as [batch, 1] and z as [batch, d] and must
-    be written with the operators shared by arrays and tape variables
-    (+, -, *, and `dot`), so one definition serves plain evaluation and the
-    differentiable rollout; f = None declares the linear case f == 0
+  - a driver f(t, x, y, z) takes y as [batch, 1] and z as [batch, d] and
+    returns [batch, 1] (or a scalar); its partials df(t, x, y, z) return
+    (f_y, f_z), broadcastable to [batch, 1] and [batch, d], for the rollout's
+    adjoint. f = None declares the linear case f == 0 and needs no df
   - diffusion matrices are structured (scalar multiple of identity, diagonal,
     or full) and applied through Diffusion so the structure is explicit
 """
@@ -16,7 +16,6 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import dot
 from .errors import ConfigError, ShapeError
 from .sde import block_uniforms
 
@@ -159,8 +158,8 @@ class XiSampler:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Everything the solver needs: coefficients, driver, terminal data,
-    starting law, and (when known) the exact solution."""
+    """Everything the solver needs: coefficients, driver and its partials,
+    terminal data, starting law, and (when known) the exact solution."""
 
     name: str
     d: int
@@ -171,8 +170,13 @@ class ProblemSpec:
     g: Callable
     xi: XiSampler
     exact: ExactSolution | None = None
+    df: Callable | None = None
 
     def __post_init__(self):
+        if self.f is not None and self.df is None:
+            raise ConfigError(
+                f"problem '{self.name}' has a driver f but no partials df(t, x, y, z) -> (f_y, f_z)"
+            )
         if self.d < 1:
             raise ConfigError(f"dimension must be at least 1, got {self.d}")
         if self.T <= 0.0:
@@ -215,17 +219,23 @@ def _heat(d, T, xi):
 
 
 def _hjb(d, T, lam, xi):
-    """Control problem with quadratic running cost: driver -lam * |z|^2."""
+    """Control problem u_t + Lap u - lam |grad u|^2 = 0 (Han, Jentzen & E).
+
+    With z = sigma^T grad u = sqrt(2) grad u the driver is -(lam/2) |z|^2.
+    """
 
     def g(x):
         return np.log(0.5 * (1.0 + _sq_norm(x)))
 
     def f(t, x, y, z):
-        return (-lam) * dot(z, z)
+        return (-0.5 * lam) * np.sum(z * z, axis=-1, keepdims=True)
+
+    def df(t, x, y, z):
+        return 0.0, (-lam) * z
 
     return ProblemSpec(
         name="hjb", d=d, T=T, mu=None, sigma=Diffusion.scalar(np.sqrt(2.0)),
-        f=f, g=g, xi=xi, exact=None,
+        f=f, g=g, xi=xi, exact=None, df=df,
     )
 
 
@@ -238,9 +248,12 @@ def _allen_cahn(d, T, xi):
     def f(t, x, y, z):
         return y - y * y * y
 
+    def df(t, x, y, z):
+        return 1.0 - 3.0 * y * y, 0.0
+
     return ProblemSpec(
         name="allen_cahn", d=d, T=T, mu=None, sigma=Diffusion.scalar(np.sqrt(2.0)),
-        f=f, g=g, xi=xi, exact=None,
+        f=f, g=g, xi=xi, exact=None, df=df,
     )
 
 

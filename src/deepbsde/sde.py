@@ -2,16 +2,15 @@
 
 The generator is splitmix64: output k (1-based) of a stream with seed state
 s is mix64(s + k * GOLDEN). Because every draw is a pure function of
-(seed state, counter), scalar draws, block draws, and chunked parallel draws
-all read the identical sequence bit for bit; that single fact carries the
-reproducibility guarantees of the whole library.
+(seed state, counter), scalar draws, block draws, and the draws of any slice
+of a batch all read the identical sequence bit for bit; that single fact
+carries the reproducibility guarantees of the whole library.
 
 Normals come from Box-Muller pairs over uniforms mapped into (0, 1] (so the
 log never sees zero), with a carry slot for the odd draw.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,13 +235,13 @@ def _simulate_chunk(problem, grid, stream, lo, hi, states, increments):
             raise NumericError(f"step {n}, samples [{lo}, {hi}): {e}") from e
 
 
-def simulate_paths(problem, grid, batch, stream, workers=1):
+def simulate_paths(problem, grid, batch, stream):
     """Simulate forward paths; returns (PathBatch, BrownianBatch).
 
     Sample i draws its initial point from the sub-stream (0, i) and its
-    step-n increments from (n+1, i), so any [lo, hi) slice of the batch can
-    be produced independently: chunked parallel runs are bitwise identical
-    to a single serial pass.
+    step-n increments from (n+1, i), so any [lo, hi) slice of the batch
+    simulated on its own (`_simulate_chunk`) is bitwise identical to the
+    same rows of the full batch.
     """
     if batch < 1:
         raise ConfigError(f"batch must be at least 1, got {batch}")
@@ -250,16 +249,5 @@ def simulate_paths(problem, grid, batch, stream, workers=1):
     d = problem.d
     states = np.empty((batch, n_steps + 1, d), dtype=np.float64)
     increments = np.empty((batch, n_steps, d), dtype=np.float64)
-    if workers <= 1:
-        _simulate_chunk(problem, grid, stream, 0, batch, states, increments)
-    else:
-        size = -(-batch // workers)
-        ranges = [(lo, min(lo + size, batch)) for lo in range(0, batch, size)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_simulate_chunk, problem, grid, stream, lo, hi, states, increments)
-                for lo, hi in ranges
-            ]
-            for fut in futures:
-                fut.result()
+    _simulate_chunk(problem, grid, stream, 0, batch, states, increments)
     return PathBatch(states), BrownianBatch(increments)

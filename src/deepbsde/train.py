@@ -20,8 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tape, backward
-from .bsde import estimate_u0, rollout_loss
+from .bsde import Tape, backward, estimate_u0, rollout_loss
 from .errors import ConfigError, NumericError, ShapeError
 from .net import SubnetBank, flatten_params, param_count, unflatten_params
 from .optim import AdamState, adam_step, clip_by_global_norm, lr_at, sgd_step
@@ -129,6 +128,8 @@ def load_archive(path):
         values = np.asarray(data, dtype=np.float64)
         if values.size != arr.size:
             raise ShapeError(f"tensor '{name}' carries {values.size} values, expected {arr.size}")
+        if not np.all(np.isfinite(values)):
+            raise ConfigError(f"tensor '{name}' holds non-finite values")
         parts.append(values)
     if stored:
         raise ConfigError(f"archive has unexpected tensors: {sorted(stored)}")

@@ -12,13 +12,12 @@ import time
 import numpy as np
 
 from conftest import central_diff_grad, max_rel_err
-from deepbsde.autodiff import Tape, backward
-from deepbsde.bsde import estimate_u0, oracle_rollout_loss, rollout_loss, rollout_values
+from deepbsde.bsde import Tape, backward, oracle_rollout_loss, rollout_loss, rollout_values
 from deepbsde.config import parse_config_text
-from deepbsde.net import SubnetBank, bind_mlp, mlp_eval
+from deepbsde.net import SubnetBank
 from deepbsde.oracle import cole_hopf_mc, fd_semilinear_1d
 from deepbsde.problems import get_problem, pde_residual
-from deepbsde.sde import RngStream, make_uniform_grid, simulate_paths
+from deepbsde.sde import RngStream, _simulate_chunk, make_uniform_grid, simulate_paths
 from deepbsde.train import run_train
 
 
@@ -55,12 +54,11 @@ def test_criterion_1_rollout_loss_identity():
     assert wall < 30.0, line
 
 
-# 2. Tape gradients agree with central finite differences, both on bare
-#    networks and through a complete nonlinear rollout.
+# 2. Hand-derived gradients agree with central finite differences, both on
+#    bare networks and through a complete nonlinear rollout.
 
 def _mlp_gradcheck(activation, seed):
-    from deepbsde.net import MLPConfig, init_params, mlp_eval, mlp_forward
-    from deepbsde.autodiff import loss_mse
+    from deepbsde.net import MLPConfig, init_params, mlp_backward, mlp_eval
 
     stream = RngStream(seed)
     cfg = MLPConfig(layer_widths=(4, 8, 8, 1), activation=activation)
@@ -85,12 +83,10 @@ def _mlp_gradcheck(activation, seed):
         out = mlp_eval(rebuild(flat), x)
         return float(np.mean((out - target) ** 2))
 
-    tape = Tape()
-    bound = bind_mlp(tape, params, "net")
-    out = mlp_forward(tape, bound, tape.constant(x))
-    loss = loss_mse(tape, out, tape.constant(target))
-    grads = backward(tape, loss)
-    got = np.concatenate([grads[pid].ravel() for pid in tape.param_ids])
+    saved = []
+    out = mlp_eval(params, x, saved)
+    layers = mlp_backward(params, saved, (2.0 / x.shape[0]) * (out - target))
+    got = np.concatenate([arr.ravel() for layer in layers for arr in layer])
 
     fd = central_diff_grad(loss_fn, flat0)
     return max_rel_err(got, fd)
@@ -255,8 +251,8 @@ def test_criterion_6_martingale_property():
 
 
 # 7. Same config and seed reproduce every artifact bit for bit (wall-clock
-#    timing injected so elapsed columns agree too), and the parallel path
-#    simulator is a drop-in for the serial one.
+#    timing injected so elapsed columns agree too), and any slice of a batch
+#    simulated on its own reproduces the same rows of the full batch.
 
 def test_criterion_7_determinism(tmp_path):
     def fixed_clock():
@@ -291,15 +287,19 @@ def test_criterion_7_determinism(tmp_path):
 
     problem = get_problem("heat", 3, {})
     grid = make_uniform_grid(1.0, 10)
-    serial = simulate_paths(problem, grid, 4001, RngStream(5), workers=1)
-    parallel = simulate_paths(problem, grid, 4001, RngStream(5), workers=4)
-    same_paths = (np.array_equal(serial[0].states, parallel[0].states)
-                  and np.array_equal(serial[1].increments, parallel[1].increments))
+    full_paths, full_incs = simulate_paths(problem, grid, 4001, RngStream(5))
+    same_paths = True
+    for lo, hi in ((0, 1001), (1001, 2002), (2002, 3003), (3003, 4001)):
+        states = np.full(full_paths.states.shape, np.nan)
+        incs = np.full(full_incs.increments.shape, np.nan)
+        _simulate_chunk(problem, grid, RngStream(5), lo, hi, states, incs)
+        same_paths = (same_paths and np.array_equal(states[lo:hi], full_paths.states[lo:hi])
+                      and np.array_equal(incs[lo:hi], full_incs.increments[lo:hi]))
 
     ok = same_metrics and same_params and same_paths
     line = _verdict(7, ok, f"metrics_identical={same_metrics} "
                            f"archives_identical={same_params} "
-                           f"parallel_paths_identical={same_paths}")
+                           f"slice_paths_identical={same_paths}")
     assert same_metrics, line
     assert same_params, line
     assert same_paths, line

@@ -1,279 +1,261 @@
+"""Hand-derived gradients: mlp_backward on bare networks, and the rollout
+adjoint (rollout_loss + backward) on examples small enough to do by hand."""
+
 import numpy as np
 import pytest
 
-from deepbsde.autodiff import (
-    Tape,
-    backward,
-    loss_mse,
-    record_activation,
-    record_affine,
-    record_dot,
-    record_linear_combination,
-    record_pointwise_mul,
-)
+from deepbsde.bsde import Tape, backward, rollout_loss
 from deepbsde.errors import ConfigError, NumericError, ShapeError
+from deepbsde.net import MLPConfig, MLPParams, SubnetBank, mlp_backward, mlp_eval
+from deepbsde.problems import Diffusion, ProblemSpec, XiSampler
+from deepbsde.sde import BrownianBatch, PathBatch, RngStream, make_uniform_grid
 
 from conftest import central_diff_grad, max_rel_err
 
 
-def test_affine_identity():
+def _net(weights, biases, activation="tanh"):
+    weights = [np.asarray(w, dtype=np.float64) for w in weights]
+    biases = [np.asarray(b, dtype=np.float64) for b in biases]
+    widths = (weights[0].shape[0],) + tuple(w.shape[1] for w in weights)
+    return MLPParams(MLPConfig(widths, activation), weights, biases)
+
+
+def _one_step(y0, z0, dw, g, T=1.0, f=None, df=None):
+    """Deterministic bank over a single step of length T; path b starts at 0
+    and ends at its increment dw[b]. Returns (tape, RolloutResult)."""
+    dw = np.asarray(dw, dtype=np.float64)
+    d = dw.shape[1]
+    problem = ProblemSpec(
+        name="hand", d=d, T=T, mu=None, sigma=Diffusion.scalar(1.0), f=f, g=g,
+        xi=XiSampler.point_mass(np.zeros(d)), exact=None, df=df,
+    )
+    bank = SubnetBank("deterministic_xi", "independent", d, 1,
+                      y0=float(y0), z0=np.asarray(z0, dtype=np.float64))
+    paths = PathBatch(np.stack([np.zeros_like(dw), dw], axis=1))
     tape = Tape()
-    x = tape.constant(np.array([[1.0, 2.0]]))
-    w = tape.constant(np.eye(2))
-    b = tape.constant(np.zeros(2))
-    y = record_affine(tape, x, w, b)
-    assert np.array_equal(y.value, np.array([[1.0, 2.0]]))
+    result = rollout_loss(tape, problem, bank, make_uniform_grid(T, 1), paths,
+                          BrownianBatch(dw[:, None, :]))
+    return tape, result
+
+
+def _constant(c):
+    return lambda x: np.full(x.shape[0], float(c))
+
+
+def test_affine_identity():
+    net = _net([np.eye(2)], [np.zeros(2)])
+    assert np.array_equal(mlp_eval(net, np.array([[1.0, 2.0]])), np.array([[1.0, 2.0]]))
 
 
 def test_affine_hand_arithmetic():
     # y_j = sum_i x_i W_ij + b_j
-    tape = Tape()
-    x = tape.constant(np.array([[1.0, 1.0]]))
-    w = tape.constant(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    b = tape.constant(np.array([1.0, 0.0]))
-    y = record_affine(tape, x, w, b)
-    assert np.array_equal(y.value, np.array([[5.0, 6.0]]))
+    net = _net([[[1.0, 2.0], [3.0, 4.0]]], [[1.0, 0.0]])
+    assert np.array_equal(mlp_eval(net, np.array([[1.0, 1.0]])), np.array([[5.0, 6.0]]))
 
 
 def test_affine_backward_hand_chain_rule():
-    # loss = (x W)^2 with x=3, W=2 -> dloss/dW = 2 * 6 * 3 = 36
-    tape = Tape()
-    x = tape.constant(np.array([[3.0]]))
-    w = tape.parameter(np.array([[2.0]]))
-    b = tape.constant(np.zeros(1))
-    y = record_affine(tape, x, w, b)
-    loss = loss_mse(tape, y, tape.constant(np.zeros((1, 1))))
-    grads = backward(tape, loss)
-    assert grads[w.id][0, 0] == pytest.approx(36.0, abs=1e-12)
+    # loss = (x W)^2 with x=3, W=2 -> dloss/dW = 2 * 6 * 3 = 36, dloss/db = 12
+    net = _net([[[2.0]]], [[0.0]])
+    saved = []
+    out = mlp_eval(net, np.array([[3.0]]), saved)
+    ((gw, gb),) = mlp_backward(net, saved, 2.0 * out)
+    assert gw[0, 0] == 36.0
+    assert gb[0] == 12.0
 
 
 def test_affine_shape_mismatch():
-    tape = Tape()
-    x = tape.constant(np.ones((2, 3)))
-    w = tape.constant(np.ones((4, 2)))
-    b = tape.constant(np.zeros(2))
+    net = _net([np.ones((4, 2))], [np.zeros(2)])
     with pytest.raises(ShapeError):
-        record_affine(tape, x, w, b)
+        mlp_eval(net, np.ones((2, 3)))
 
 
 def test_activations_forward_and_derivative():
-    tape = Tape()
-    x = tape.parameter(np.array([[0.0, -1.0, 2.0]]))
-    th = record_activation(tape, x, "tanh")
-    assert th.value[0, 0] == 0.0
+    # hidden pre-activations [0, -1, 2] from x = 1, summed by the output layer
+    weights = [[[0.0, -1.0, 2.0]], np.ones((3, 1))]
+    biases = [np.zeros(3), np.zeros(1)]
+    x = np.array([[1.0]])
 
-    tape2 = Tape()
-    x2 = tape2.parameter(np.array([[-1.0, 0.0, 2.0]]))
-    r = record_activation(tape2, x2, "relu")
-    assert np.array_equal(r.value, np.array([[0.0, 0.0, 2.0]]))
-    s = record_linear_combination(tape2, [(1.0, r)])
-    loss = loss_mse(tape2, record_dot(tape2, s, tape2.constant(np.ones((1, 3)))),
-                    tape2.constant(np.zeros((1, 1))))
-    grads = backward(tape2, loss)
+    saved = []
+    mlp_eval(_net(weights, biases, "tanh"), x, saved)
+    assert saved[1][0, 0] == 0.0
+
+    relu = _net(weights, biases, "relu")
+    saved = []
+    mlp_eval(relu, x, saved)
+    assert np.array_equal(saved[1], np.array([[0.0, 0.0, 2.0]]))
+    (gw0, _), _ = mlp_backward(relu, saved, np.ones((1, 1)))
     # relu'(-1) = 0 and the convention relu'(0) = 0
-    assert grads[x2.id][0, 0] == 0.0
-    assert grads[x2.id][0, 1] == 0.0
-    assert grads[x2.id][0, 2] != 0.0
+    assert np.array_equal(gw0, np.array([[0.0, 0.0, 1.0]]))
 
 
 def test_tanh_unit_derivative_at_zero():
-    tape = Tape()
-    x = tape.parameter(np.zeros((1, 1)))
-    y = record_activation(tape, x, "tanh")
-    loss = loss_mse(tape, y, tape.constant(np.full((1, 1), 2.0)))
-    grads = backward(tape, loss)
-    # dloss/dx = 2*(tanh(0)-2)*tanh'(0) = -4
-    assert grads[x.id][0, 0] == pytest.approx(-4.0, abs=1e-12)
+    net = _net([[[1.0]], [[1.0]]], [[0.0], [0.0]])
+    saved = []
+    out = mlp_eval(net, np.zeros((1, 1)), saved)
+    (_, gb0), _ = mlp_backward(net, saved, 2.0 * (out - 2.0))
+    # dloss/db0 = 2*(tanh(0)-2)*tanh'(0) = -4
+    assert gb0[0] == pytest.approx(-4.0, abs=1e-12)
 
 
 def test_identity_activation():
-    tape = Tape()
-    x = tape.constant(np.array([[1.5, -2.5]]))
-    y = record_activation(tape, x, "identity")
-    assert np.array_equal(y.value, x.value)
+    rng = np.random.default_rng(5)
+    w0, b0, w1, b1 = (rng.standard_normal(s) for s in ((2, 3), 3, (3, 1), 1))
+    x = rng.standard_normal((4, 2))
+    out = mlp_eval(_net([w0, w1], [b0, b1], "identity"), x)
+    assert np.array_equal(out, (x @ w0 + b0) @ w1 + b1)
 
 
 def test_unknown_activation_rejected():
-    tape = Tape()
-    x = tape.constant(np.ones((1, 1)))
     with pytest.raises(ConfigError):
-        record_activation(tape, x, "softplus")
+        MLPConfig((1, 1), "softplus")
 
 
 def test_dot_example():
-    tape = Tape()
-    a = tape.constant(np.array([[1.0, 2.0]]))
-    b = tape.constant(np.array([[3.0, 4.0]]))
-    y = record_dot(tape, a, b)
-    assert y.value.shape == (1, 1)
-    assert y.value[0, 0] == 11.0
+    # one step: Y_1 = y0 + z0 . dW = 0 + [1, 2] . [3, 4] = 11
+    _, result = _one_step(0.0, [1.0, 2.0], [[3.0, 4.0]], _constant(0.0))
+    assert result.terminal_gap[0] == -11.0
 
 
 def test_linear_combination_example():
-    tape = Tape()
-    a = tape.constant(np.full((1, 1), 2.0))
-    b = tape.constant(np.full((1, 1), 2.0))
-    y = record_linear_combination(tape, [(1.0, a), (-0.5, b)])
-    assert y.value[0, 0] == 1.0
+    # Y_1 = y0 - dt f + z0 . dW = 2 - 0.5 * 2 + 0 = 1
+    _, result = _one_step(2.0, [0.0], [[0.0]], _constant(0.0), T=0.5,
+                          f=lambda t, x, y, z: 2.0, df=lambda t, x, y, z: (0.0, 0.0))
+    assert result.terminal_gap[0] == -1.0
 
 
 def test_pointwise_mul_backward_product_rule():
-    tape = Tape()
-    a = tape.parameter(np.array([[2.0]]))
-    b = tape.constant(np.array([[5.0]]))
-    y = record_pointwise_mul(tape, a, b)
-    loss = loss_mse(tape, y, tape.constant(np.zeros((1, 1))))
-    grads = backward(tape, loss)
-    # dloss/da = 2*(a*b)*b = 2*10*5
-    assert grads[a.id][0, 0] == pytest.approx(100.0, abs=1e-12)
+    # f = y * y: Y_1 = y0 - dt y0^2 = 2 - 0.125 * 4 = 1.5, dY_1/dy0 = 1 - 2 dt y0 = 0.5
+    tape, result = _one_step(2.0, [0.0], [[0.0]], _constant(0.0), T=0.125,
+                             f=lambda t, x, y, z: y * y,
+                             df=lambda t, x, y, z: (2.0 * y, 0.0))
+    grads = backward(tape, result.loss)
+    assert float(result.loss.value) == 2.25
+    assert grads[tape.param_ids[0]][0] == 2.0 * 1.5 * 0.5
 
 
 def test_loss_mse_examples():
-    tape = Tape()
-    p = tape.constant(np.array([[1.0], [3.0]]))
-    t = tape.constant(np.array([[1.0], [1.0]]))
-    assert loss_mse(tape, p, t).value == pytest.approx(2.0, abs=1e-15)
+    _, result = _one_step(0.0, [1.0], [[1.0], [3.0]], _constant(1.0))
+    assert float(result.loss.value) == pytest.approx(2.0, abs=1e-15)
 
-    tape = Tape()
-    p = tape.constant(np.array([[0.7], [-0.3]]))
-    assert loss_mse(tape, p, p).value == 0.0
+    _, result = _one_step(0.0, [1.0], [[0.7], [-0.3]], lambda x: x[:, 0])
+    assert float(result.loss.value) == 0.0
 
-    tape = Tape()
-    p = tape.constant(np.array([[0.5]]))
-    t = tape.constant(np.array([[0.0]]))
-    assert loss_mse(tape, p, t).value == pytest.approx(0.25, abs=1e-15)
+    _, result = _one_step(0.5, [0.0], [[0.0]], _constant(0.0))
+    assert float(result.loss.value) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_loss_mse_empty_batch_rejected():
-    tape = Tape()
-    p = tape.constant(np.zeros((0, 1)))
-    t = tape.constant(np.zeros((0, 1)))
     with pytest.raises(ShapeError):
-        loss_mse(tape, p, t)
+        _one_step(0.0, [1.0], np.zeros((0, 1)), _constant(0.0))
 
 
 def test_backward_simple_regression_gradient():
-    # loss = (w*x - y)^2, w=2, x=3, y=5 -> dloss/dw = 2*(6-5)*3 = 6
+    # loss = (y0 + z0 dW - g)^2, y0=2, z0=1, dW=3, g=4 -> d/dy0 = 2, d/dz0 = 6
+    tape, result = _one_step(2.0, [1.0], [[3.0]], _constant(4.0))
+    grads = backward(tape, result.loss)
+    y0_id, z0_id = tape.param_ids
+    assert grads[y0_id][0] == pytest.approx(2.0, abs=1e-12)
+    assert grads[z0_id][0] == pytest.approx(6.0, abs=1e-12)
+
+
+def _small_rollout(increments_scale=None):
+    d, n = 2, 3
+    bank = SubnetBank.create("deterministic_xi", "independent", d, n, hidden=(3, 3), seed=4)
+    problem = ProblemSpec(
+        name="free", d=d, T=1.0, mu=None, sigma=Diffusion.scalar(1.0), f=None,
+        g=lambda x: np.sum(x * x, axis=1), xi=XiSampler.point_mass(np.zeros(d)), exact=None,
+    )
+    stream = RngStream(12)
+    incs = stream.derive(0).normals(5 * n * d).reshape(5, n, d)
+    if increments_scale is not None:
+        incs *= np.asarray(increments_scale)[None, :, None]
+    states = np.concatenate([np.zeros((5, 1, d)), np.cumsum(incs, axis=1)], axis=1)
     tape = Tape()
-    w = tape.parameter(np.array([[2.0]]))
-    x = tape.constant(np.array([[3.0]]))
-    y = record_pointwise_mul(tape, w, x)
-    loss = loss_mse(tape, y, tape.constant(np.array([[5.0]])))
-    grads = backward(tape, loss)
-    assert grads[w.id][0, 0] == pytest.approx(6.0, abs=1e-12)
+    result = rollout_loss(tape, problem, bank, make_uniform_grid(1.0, n),
+                          PathBatch(states), BrownianBatch(incs))
+    return tape, result, bank
 
 
 def test_unreachable_parameter_gets_exact_zero():
-    tape = Tape()
-    w = tape.parameter(np.array([[2.0]]))
-    unused = tape.parameter(np.array([1.0, 2.0, 3.0]))
-    x = tape.constant(np.array([[3.0]]))
-    loss = loss_mse(tape, record_pointwise_mul(tape, w, x),
-                    tape.constant(np.zeros((1, 1))))
-    grads = backward(tape, loss)
-    assert np.all(grads[unused.id] == 0.0)
-    assert grads[unused.id].shape == (3,)
+    # zero increments at step 1 cut phi_1 off from the loss
+    tape, result, bank = _small_rollout(increments_scale=[1.0, 0.0, 1.0])
+    grads = backward(tape, result.loss)
+    for pid, (name, arr) in zip(tape.param_ids, bank.tensor_items()):
+        assert grads[pid].shape == arr.shape
+        if name.startswith("phi_1."):
+            assert np.all(grads[pid] == 0.0), name
+        elif name.endswith("weight") or name in ("y0", "z0"):
+            assert np.any(grads[pid] != 0.0), name
 
 
 def test_backward_rejects_nonscalar_loss():
-    tape = Tape()
-    p = tape.parameter(np.ones((2, 1)))
-    with pytest.raises(ShapeError):
-        backward(tape, p)
+    tape, result, _ = _small_rollout()
+    assert tape.nodes[0].value.ndim == 2
+    with pytest.raises(ConfigError):
+        backward(tape, tape.nodes[0])
+    with pytest.raises(ConfigError):
+        backward(Tape(), result.loss)
 
 
 def test_nonfinite_value_rejected_on_record():
-    tape = Tape()
-    with pytest.raises(NumericError):
-        tape.constant(np.array([np.inf]))
-
-
-def _two_layer_net(tape, theta, x_data):
-    """Record a 4 -> 5 -> 3 -> 1 tanh net from a flat parameter vector."""
-    sizes = [(4, 5), (5, 3), (3, 1)]
-    pos = 0
-    h = tape.constant(x_data)
-    for i, (m, k) in enumerate(sizes):
-        w = tape.parameter(theta[pos:pos + m * k].reshape(m, k))
-        pos += m * k
-        b = tape.parameter(theta[pos:pos + k])
-        pos += k
-        h = record_affine(tape, h, w, b)
-        if i < len(sizes) - 1:
-            h = record_activation(tape, h, "tanh")
-    return h
+    with pytest.raises(NumericError, match="step 0, sample 1"):
+        _one_step(0.0, [1.0], [[1.0], [np.inf]], _constant(0.0))
 
 
 def test_random_net_gradients_match_finite_differences():
     rng = np.random.default_rng(11)
-    n_params = 4 * 5 + 5 + 5 * 3 + 3 + 3 * 1 + 1
+    sizes = [(4, 5), (5, 3), (3, 1)]
+    n_params = sum(m * k + k for m, k in sizes)
     theta = rng.standard_normal(n_params) * 0.5
-    x_data = rng.standard_normal((6, 4))
+    x = rng.standard_normal((6, 4))
     target = rng.standard_normal((6, 1))
 
-    def loss_fn(vec):
-        tape = Tape()
-        out = _two_layer_net(tape, vec, x_data)
-        return float(loss_mse(tape, out, tape.constant(target)).value)
+    def build(vec):
+        weights, biases, pos = [], [], 0
+        for m, k in sizes:
+            weights.append(vec[pos:pos + m * k].reshape(m, k))
+            pos += m * k
+            biases.append(vec[pos:pos + k])
+            pos += k
+        return _net(weights, biases)
 
-    tape = Tape()
-    out = _two_layer_net(tape, theta, x_data)
-    loss = loss_mse(tape, out, tape.constant(target))
-    grads = backward(tape, loss)
-    flat = np.concatenate([grads[pid].ravel() for pid in tape.param_ids])
-    fd = central_diff_grad(loss_fn, theta)
-    assert max_rel_err(flat, fd) < 1e-5
+    def loss_fn(vec):
+        return float(np.mean((mlp_eval(build(vec), x) - target) ** 2))
+
+    net = build(theta)
+    saved = []
+    out = mlp_eval(net, x, saved)
+    layers = mlp_backward(net, saved, (2.0 / x.shape[0]) * (out - target))
+    flat = np.concatenate([arr.ravel() for layer in layers for arr in layer])
+    assert max_rel_err(flat, central_diff_grad(loss_fn, theta)) < 1e-5
 
 
 def test_backward_linearity():
     rng = np.random.default_rng(3)
-    x_data = rng.standard_normal((4, 2))
-    t1 = rng.standard_normal((4, 1))
-    t2 = rng.standard_normal((4, 1))
+    net = _net([rng.standard_normal((2, 4)), rng.standard_normal((4, 1))],
+               [rng.standard_normal(4), rng.standard_normal(1)])
+    saved = []
+    mlp_eval(net, rng.standard_normal((5, 2)), saved)
+    g1, g2 = rng.standard_normal((5, 1)), rng.standard_normal((5, 1))
     alpha, beta = 0.7, -1.3
-
-    def build(tape):
-        w = tape.parameter(rng_w.copy())
-        b = tape.parameter(rng_b.copy())
-        return record_affine(tape, tape.constant(x_data), w, b)
-
-    rng_w = rng.standard_normal((2, 1))
-    rng_b = rng.standard_normal(1)
-
-    tape = Tape()
-    y = build(tape)
-    l1 = loss_mse(tape, y, tape.constant(t1))
-    l2 = loss_mse(tape, y, tape.constant(t2))
-    combo = record_linear_combination(tape, [(alpha, l1), (beta, l2)])
-    g_combo = backward(tape, combo)
-
-    tape1 = Tape()
-    g1 = backward(tape1, loss_mse(tape1, build(tape1), tape1.constant(t1)))
-    tape2 = Tape()
-    g2 = backward(tape2, loss_mse(tape2, build(tape2), tape2.constant(t2)))
-
-    for pid, pid1, pid2 in zip(tape.param_ids, tape1.param_ids, tape2.param_ids):
-        want = alpha * g1[pid1] + beta * g2[pid2]
-        assert np.max(np.abs(g_combo[pid] - want)) < 1e-12
+    combo = mlp_backward(net, saved, alpha * g1 + beta * g2)
+    for got, a, b in zip(combo, mlp_backward(net, saved, g1), mlp_backward(net, saved, g2)):
+        for k in range(2):
+            assert np.max(np.abs(got[k] - (alpha * a[k] + beta * b[k]))) < 1e-12
 
 
 def test_forward_values_stable_across_backward():
-    tape = Tape()
-    w = tape.parameter(np.array([[1.5]]))
-    x = tape.constant(np.array([[2.0]]))
-    y = record_pointwise_mul(tape, w, x)
-    before = y.value.copy()
-    loss = loss_mse(tape, y, tape.constant(np.zeros((1, 1))))
-    backward(tape, loss)
-    backward(tape, loss)
-    assert np.array_equal(y.value, before)
+    tape, result, bank = _small_rollout()
+    before = [node.value.copy() for node in tape.nodes]
+    params = [arr.copy() for _, arr in bank.tensor_items()]
+    backward(tape, result.loss)
+    backward(tape, result.loss)
+    assert all(np.array_equal(n.value, v) for n, v in zip(tape.nodes, before))
+    assert all(np.array_equal(a, b) for (_, a), b in zip(bank.tensor_items(), params))
 
 
 def test_backward_twice_gives_same_gradients():
-    tape = Tape()
-    w = tape.parameter(np.array([[1.5, -0.5]]))
-    y = record_dot(tape, w, tape.constant(np.array([[2.0, 3.0]])))
-    loss = loss_mse(tape, y, tape.constant(np.zeros((1, 1))))
-    g1 = backward(tape, loss)
-    g2 = backward(tape, loss)
-    assert np.array_equal(g1[w.id], g2[w.id])
+    tape, result, _ = _small_rollout()
+    g1 = backward(tape, result.loss)
+    g2 = backward(tape, result.loss)
+    assert all(np.array_equal(g1[pid], g2[pid]) for pid in tape.param_ids)

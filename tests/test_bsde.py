@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from deepbsde.autodiff import Tape, backward
 from deepbsde.bsde import (
+    Tape,
+    backward,
     estimate_u0,
     oracle_rollout_loss,
     rollout_loss,
@@ -16,13 +17,13 @@ from deepbsde.sde import BrownianBatch, PathBatch, RngStream, make_uniform_grid,
 from conftest import central_diff_grad, max_rel_err
 
 
-def _custom_problem(d, T=1.0, sigma=None, f=None, g=None, xi0=None):
+def _custom_problem(d, T=1.0, sigma=None, f=None, df=None, g=None, xi0=None):
     return ProblemSpec(
         name="custom", d=d, T=T, mu=None,
         sigma=sigma or Diffusion.scalar(1.0),
         f=f, g=g or (lambda x: np.zeros(x.shape[0])),
         xi=XiSampler.point_mass(np.zeros(d) if xi0 is None else np.asarray(xi0, dtype=np.float64)),
-        exact=None,
+        exact=None, df=df,
     )
 
 
@@ -61,7 +62,7 @@ def test_constant_solution_zero_loss():
 
 def test_constant_driver_telescopes():
     # f == 1 with zero Z: Y_T = y0 - T, independent of the paths
-    p = _custom_problem(1, f=lambda t, x, y, z: 1.0,
+    p = _custom_problem(1, f=lambda t, x, y, z: 1.0, df=lambda t, x, y, z: (0.0, 0.0),
                         g=lambda x: np.zeros(x.shape[0]))
     grid = make_uniform_grid(1.0, 10)
     bank = SubnetBank.create("deterministic_xi", "independent", 1, 10, hidden=(3, 3))
@@ -298,3 +299,37 @@ def test_shared_mode_gradients_accumulate_across_steps():
     assert analytic.size == param_count(template)
     fd = central_diff_grad(loss_fn, theta)
     assert max_rel_err(analytic, fd) < 1e-5
+
+
+def _rollout_gradcheck(problem, template, grid, paths, incs):
+    theta = flatten_params(template)
+
+    def loss_fn(vec):
+        bank = unflatten_params(template, vec)
+        return rollout_values(problem, bank, grid, paths, incs).loss
+
+    tape = Tape()
+    result = rollout_loss(tape, problem, template, grid, paths, incs)
+    grads = backward(tape, result.loss)
+    analytic = np.concatenate([grads[pid].ravel() for pid in tape.param_ids])
+    assert analytic.size == param_count(template)
+    return max_rel_err(analytic, central_diff_grad(loss_fn, theta))
+
+
+def test_rollout_gradients_through_driver_y_partial():
+    # Allen-Cahn's f_y = 1 - 3y^2 carries ybar back through every step, and
+    # the general start sends ybar_0 through the initial-value network
+    p = get_problem("allen_cahn", 2, {"xi_mode": "box", "box_low": (-0.5,), "box_high": (0.5,)})
+    grid = make_uniform_grid(1.0, 20)
+    template = SubnetBank.create("general_xi", "independent", 2, 20, hidden=(4, 4), seed=5)
+    paths, incs = simulate_paths(p, grid, 4, RngStream(6))
+    assert _rollout_gradcheck(p, template, grid, paths, incs) < 1e-5
+
+
+def test_shared_relu_bank_gradients_match_finite_differences():
+    p = get_problem("hjb", 2, {"lambda": 1.0})
+    grid = make_uniform_grid(1.0, 4)
+    template = SubnetBank.create("deterministic_xi", "shared", 2, 4, hidden=(5, 5),
+                                 activation="relu", seed=12)
+    paths, incs = simulate_paths(p, grid, 4, RngStream(13))
+    assert _rollout_gradcheck(p, template, grid, paths, incs) < 1e-5

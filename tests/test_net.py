@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from deepbsde.autodiff import Tape, backward, loss_mse, record_dot
 from deepbsde.errors import ConfigError, ShapeError
 from deepbsde.net import (
     MLPConfig,
     SubnetBank,
-    bind_mlp,
     flatten_params,
     init_params,
+    mlp_backward,
     mlp_eval,
-    mlp_forward,
     param_count,
     unflatten_params,
 )
@@ -84,18 +82,21 @@ def test_forward_no_hidden_layer_is_affine():
 
 
 def test_tape_forward_matches_numpy_forward():
+    # the recording forward (training) and the plain one (evaluation) agree
     params = init_params(MLPConfig((4, 7, 7, 2), "tanh"), seed=9)
     x = np.random.default_rng(2).standard_normal((5, 4))
-    tape = Tape()
-    out = mlp_forward(tape, params, tape.constant(x))
-    assert np.array_equal(out.value, mlp_eval(params, x))
+    saved = []
+    out = mlp_eval(params, x, saved)
+    assert np.array_equal(out, mlp_eval(params, x))
+    assert [a.shape for a in saved] == [(5, 4), (5, 7), (5, 7)]
+    assert np.array_equal(saved[0], x)
+    assert np.array_equal(saved[2], np.tanh(np.tanh(x @ params.weights[0]) @ params.weights[1]))
 
 
 def test_forward_input_width_checked():
     params = init_params(MLPConfig((4, 3, 1), "tanh"), seed=0)
-    tape = Tape()
     with pytest.raises(ShapeError):
-        mlp_forward(tape, params, tape.constant(np.ones((2, 5))))
+        mlp_eval(params, np.ones((2, 5)))
 
 
 def test_mlp_gradients_match_finite_differences():
@@ -128,20 +129,15 @@ def test_mlp_gradients_match_finite_differences():
     theta = flat(template)
 
     def loss_fn(vec):
-        params = set_from_vec(vec)
-        tape = Tape()
-        out = mlp_forward(tape, params, tape.constant(x))
-        proj = record_dot(tape, out, tape.constant(probe))
-        return float(loss_mse(tape, proj, tape.constant(target)).value)
+        proj = np.sum(mlp_eval(set_from_vec(vec), x) * probe, axis=1, keepdims=True)
+        return float(np.mean((proj - target) ** 2))
 
-    tape = Tape()
     params = set_from_vec(theta)
-    bound = bind_mlp(tape, params, "net")
-    out = mlp_forward(tape, bound, tape.constant(x))
-    proj = record_dot(tape, out, tape.constant(probe))
-    loss = loss_mse(tape, proj, tape.constant(target))
-    grads = backward(tape, loss)
-    analytic = np.concatenate([grads[pid].ravel() for pid in tape.param_ids])
+    saved = []
+    out = mlp_eval(params, x, saved)
+    proj = np.sum(out * probe, axis=1, keepdims=True)
+    layers = mlp_backward(params, saved, (2.0 / x.shape[0]) * (proj - target) * probe)
+    analytic = np.concatenate([arr.ravel() for layer in layers for arr in layer])
     fd = central_diff_grad(loss_fn, theta)
     assert max_rel_err(analytic, fd) < 1e-5
 

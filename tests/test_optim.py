@@ -127,3 +127,26 @@ def test_lr_schedule_validation():
         LrSchedule(((0, -1e-2),))
     with pytest.raises(ConfigError):
         lr_at(LrSchedule.constant(1e-3), -1)
+
+
+def test_adam_matches_textbook_form_bitwise():
+    rng = np.random.default_rng(21)
+    state = AdamState.create(1000, beta1=0.85, beta2=0.995, eps=1e-7)
+    params = rng.standard_normal(1000)
+    m, v = np.zeros(1000), np.zeros(1000)
+    want = params.copy()
+    for t in range(1, 6):
+        g = rng.standard_normal(1000) * 10.0 ** rng.integers(-6, 3, size=1000)
+        lr = 0.01 / t
+        m = 0.85 * m + (1.0 - 0.85) * g
+        v = 0.995 * v + (1.0 - 0.995) * g * g
+        m_hat = m / (1.0 - 0.85 ** t)
+        v_hat = v / (1.0 - 0.995 ** t)
+        want = want - lr * m_hat / (np.sqrt(v_hat) + 1e-7)
+        inputs = (params, g, state.m, state.v)
+        copies = [a.copy() for a in inputs]
+        params, state = adam_step(state, params, g, lr)
+        assert all(np.array_equal(a, c) for a, c in zip(inputs, copies))
+        assert np.array_equal(params, want)
+        assert np.array_equal(state.m, m)
+        assert np.array_equal(state.v, v)

@@ -149,6 +149,7 @@ def test_fd_allen_cahn_constant_data_matches_ode():
         f=lambda t, x, y, z: y - y * y * y,
         g=lambda x: np.full(x.shape[0], c),
         xi=XiSampler.point_mass(np.zeros(1)), exact=None,
+        df=lambda t, x, y, z: (1.0 - 3.0 * y * y, 0.0),
     )
 
     def rk4_backward(vT, steps):

@@ -32,7 +32,8 @@ def test_hjb_driver_value():
     z = np.array([[1.0, 1.0]])
     out = np.asarray(p.f(0.0, np.zeros((1, 2)), np.zeros((1, 1)), z))
     assert out.shape == (1, 1)
-    assert out[0, 0] == pytest.approx(-2.0, abs=1e-14)
+    # -(lambda / 2) |z|^2, i.e. -lambda |grad u|^2 with z = sqrt(2) grad u
+    assert out[0, 0] == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_allen_cahn_driver_value():
@@ -40,6 +41,34 @@ def test_allen_cahn_driver_value():
     y = np.array([[2.0]])
     out = np.asarray(p.f(0.0, np.zeros((1, 1)), y, np.zeros((1, 1))))
     assert out[0, 0] == pytest.approx(-6.0, abs=1e-14)  # 2 - 8
+
+
+@pytest.mark.parametrize("name", ["hjb", "allen_cahn"])
+def test_driver_partials_match_central_differences(name):
+    d, h = 3, 1e-6
+    p = get_problem(name, d, {"lambda": 0.7} if name == "hjb" else {})
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((5, d))
+    y = rng.standard_normal((5, 1))
+    z = rng.standard_normal((5, d))
+    f_y, f_z = p.df(0.3, x, y, z)
+    want_y = (p.f(0.3, x, y + h, z) - p.f(0.3, x, y - h, z)) / (2.0 * h)
+    want_z = np.empty((5, d))
+    for i in range(d):
+        e = np.zeros(d)
+        e[i] = h
+        want_z[:, i] = ((p.f(0.3, x, y, z + e) - p.f(0.3, x, y, z - e)) / (2.0 * h))[:, 0]
+    assert np.allclose(np.broadcast_to(f_y, (5, 1)), want_y, rtol=1e-7, atol=1e-8)
+    assert np.allclose(np.broadcast_to(f_z, (5, d)), want_z, rtol=1e-7, atol=1e-8)
+
+
+def test_driver_without_partials_rejected():
+    with pytest.raises(ConfigError, match="df"):
+        ProblemSpec(
+            name="custom", d=1, T=1.0, mu=None, sigma=Diffusion.scalar(1.0),
+            f=lambda t, x, y, z: y, g=lambda x: x[:, 0],
+            xi=XiSampler.point_mass(np.zeros(1)),
+        )
 
 
 def test_allen_cahn_terminal_shape():

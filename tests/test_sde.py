@@ -6,6 +6,7 @@ from deepbsde.problems import Diffusion, ProblemSpec, XiSampler
 from deepbsde.sde import (
     RngStream,
     TimeGrid,
+    _simulate_chunk,
     block_normals,
     box_muller_pair,
     euler_step,
@@ -244,11 +245,16 @@ def test_parallel_simulation_matches_serial():
         f=None, g=lambda x: np.zeros(x.shape[0]),
         xi=XiSampler.uniform_box(-np.ones(3), np.ones(3)), exact=None,
     )
+    # rows [lo, hi) simulated on their own equal the same rows of the batch,
+    # so a batch can be split into chunks that run anywhere
     grid = make_uniform_grid(1.0, 7)
-    serial_paths, serial_incs = simulate_paths(p, grid, 101, RngStream(5), workers=1)
-    par_paths, par_incs = simulate_paths(p, grid, 101, RngStream(5), workers=4)
-    assert np.array_equal(serial_paths.states, par_paths.states)
-    assert np.array_equal(serial_incs.increments, par_incs.increments)
+    full_paths, full_incs = simulate_paths(p, grid, 101, RngStream(5))
+    for lo, hi in ((0, 26), (26, 27), (27, 101)):
+        states = np.full(full_paths.states.shape, np.nan)
+        incs = np.full(full_incs.increments.shape, np.nan)
+        _simulate_chunk(p, grid, RngStream(5), lo, hi, states, incs)
+        assert np.array_equal(states[lo:hi], full_paths.states[lo:hi])
+        assert np.array_equal(incs[lo:hi], full_incs.increments[lo:hi])
 
 
 def test_simulation_rejects_empty_batch():

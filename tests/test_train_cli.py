@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -150,6 +151,25 @@ def test_archive_rejects_unexpected_tensor(tmp_path):
     blob["tensors"].append({"name": "phi_99.layer_0.weight", "shape": [1], "data": [0.0]})
     path.write_text(json.dumps(blob))
     with pytest.raises((ConfigError, ShapeError)):
+        load_archive(path)
+
+
+def _poison_archive(path, tensor, token):
+    """Hand-edit the archive: the first value of `tensor` becomes `token`."""
+    lines = path.read_text().splitlines()
+    row = next(i for i, line in enumerate(lines) if f'"name": "{tensor}"' in line)
+    lines[row] = re.sub(r'("data": \[)[^,\]]+', lambda m: m.group(1) + token, lines[row], count=1)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_archive_rejects_non_finite_tensor(tmp_path, token):
+    bank = _fresh_bank()
+    path = tmp_path / "params.json"
+    save_params(bank, {}, path)
+    _poison_archive(path, "phi_1.layer_0.weight", token)
+    assert token in path.read_text()
+    with pytest.raises(ConfigError, match="phi_1.layer_0.weight"):
         load_archive(path)
 
 
@@ -392,6 +412,17 @@ def test_cli_eval_problem_mismatch_exits_2(tmp_path, capsys):
                  "--problem", "allen_cahn", "--samples", "64"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_eval_non_finite_archive_exits_2(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    _poison_archive(out / "params.json", "y0", "NaN")
+    code = main(["eval", "--params", str(out / "params.json"), "--problem", "heat"])
+    assert code == 2
+    assert "'y0' holds non-finite values" in capsys.readouterr().err
 
 
 def test_module_entry_point_subprocess(tmp_path):
