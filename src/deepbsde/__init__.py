@@ -52,7 +52,6 @@ from .train import (
     METRICS_HEADER,
     MetricsRecord,
     load_archive,
-    load_params,
     run_train,
     save_params,
     write_metrics,
@@ -97,7 +96,6 @@ __all__ = [
     "get_problem",
     "init_params",
     "load_archive",
-    "load_params",
     "lr_at",
     "make_uniform_grid",
     "mc_feynman_kac",

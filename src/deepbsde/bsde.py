@@ -19,8 +19,9 @@ runs, for n = N-1, ..., 0,
     zbar_n = ybar_{n+1} (dW_n - dt_n f_z),   ybar_n = ybar_{n+1} (1 - dt_n f_y),
 
 with the driver partials of `ProblemSpec.df`. Each zbar_n runs back through
-step n's network (a shared network sums its gradients over the steps, the
-plain z0 sums over the batch), and ybar_0 through the initial-value head.
+step n's network, and ybar_0 through the initial-value head. The gradients
+are views of one flat vector laid out like the bank's theta, and every step
+adds into them, so a shared network sums over the steps and z0 over the batch.
 """
 
 import math
@@ -49,12 +50,14 @@ class Tape:
 
     `nodes` lists the arrays the forward saved for `backward`, the loss
     last. `param_ids` holds one id per bank tensor in flatten order; they
-    key the gradients `backward` returns.
+    key the gradients `backward` returns. `grad` is the flat gradient of
+    the last `backward`.
     """
 
     def __init__(self):
         self.nodes = []
         self.param_ids = []
+        self.grad = None
         self._record = None
 
     def __len__(self):
@@ -118,10 +121,9 @@ def _forward(problem, grid, states, incs, y, z_at, steps=None):
     dW - dt f_z) to `steps`.
     """
     batch = states.shape[0]
-    times = grid.times
     for n in range(grid.num_steps):
-        t_n = float(times[n])
-        dt_n = float(times[n + 1] - times[n])
+        t_n = float(grid.times[n])
+        dt_n = grid.dt(n)
         x_n = states[:, n, :]
         dw = incs[:, n, :]
         saved = None if steps is None else []
@@ -192,37 +194,40 @@ def rollout_loss(tape, problem, bank, grid, paths, increments):
 
 def backward(tape, loss):
     """Reverse sweep of the rollout on `tape`; returns {param id: gradient},
-    each gradient shaped like its bank tensor."""
+    each a view shaped like its bank tensor into `tape.grad`, a fresh flat
+    vector laid out like the bank's theta."""
     if tape._record is None or loss is not tape.nodes[-1]:
         raise ConfigError("backward needs the loss of the rollout recorded on this tape")
     bank, head, steps, y, g = tape._record
     loss.adjoint = np.ones_like(loss.value)
+    grad = np.zeros(bank.theta.size)
+    head_grads, net_grads = bank.views(grad)
     ybar = (2.0 / y.shape[0]) * (y - g[:, None])
-    z_grads = [None] * len(bank.z_nets)
-    z0_grad = None
     for n in range(len(steps) - 1, -1, -1):
         saved, a, c = steps[n]
         zbar = ybar * c
         ybar = ybar * a
         k = bank.z_index(n)
         if k is None:
-            z0_grad = zbar.sum(axis=0)
-        elif z_grads[k] is None:
-            z_grads[k] = mlp_backward(bank.z_nets[k], saved, zbar)
+            head_grads[1] += zbar.sum(axis=0)
         else:
-            for (gw, gb), (dw, db) in zip(z_grads[k], mlp_backward(bank.z_nets[k], saved, zbar)):
-                gw += dw
-                gb += db
-
+            _add_layers(net_grads[k], mlp_backward(bank.z_nets[k], saved, zbar))
     if bank.mode == "general_xi":
-        flat = [arr for layer in mlp_backward(bank.y0_net, head, ybar) for arr in layer]
+        _add_layers(head_grads, mlp_backward(bank.y0_net, head, ybar))
     else:
-        flat = [ybar.sum(axis=0), z0_grad]
-    flat.extend(arr for layers in z_grads for layer in layers for arr in layer)
-    for (name, _), arr in zip(bank.tensor_items(), flat):
-        if not np.all(np.isfinite(arr)):
-            raise NumericError(f"non-finite gradient for tensor '{name}'")
+        head_grads[0] += ybar.sum(axis=0)
+    flat = head_grads + [v for views in net_grads for v in views]
+    if not np.all(np.isfinite(grad)):
+        name = next(name for (name, _), v in zip(bank.tensor_items(), flat)
+                    if not np.all(np.isfinite(v)))
+        raise NumericError(f"non-finite gradient for tensor '{name}'")
+    tape.grad = grad
     return dict(zip(tape.param_ids, flat))
+
+
+def _add_layers(views, layers):
+    for view, arr in zip(views, (arr for layer in layers for arr in layer)):
+        view += arr
 
 
 def rollout_values(problem, bank, grid, paths, increments):

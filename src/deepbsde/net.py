@@ -4,15 +4,18 @@ parameter bank that drives a rollout.
 A bank holds the initial-value head (a network when the starting point is
 random, a plain trainable scalar plus gradient vector when it is a fixed
 point) and one gradient network per time step, optionally shared across
-steps. Flattening walks the bank in a fixed documented order so optimizer
-state, archives, and gradient vectors always line up:
+steps. The bank's tensors live in one flat float64 vector theta, laid out
+once in a fixed documented order; that order is at once the flatten order
+and the memory layout of theta, so optimizer state, archives and gradient
+vectors always line up:
 
     initial-value head first (network tensors, or y0 then z0),
     then the gradient networks in step order (once, if shared);
     within a network layer by layer, weight before bias, rows major.
 """
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,7 +118,6 @@ def mlp_backward(params, saved, grad_out):
     return grads
 
 
-@dataclass
 class SubnetBank:
     """All trainable state for one rollout.
 
@@ -124,40 +126,63 @@ class SubnetBank:
     deterministic_xi mode: the start is one fixed point, so the initial value
     is the plain scalar `y0`, the step-0 gradient is the plain vector `z0`,
     and `z_nets` covers steps 1..N-1 only.
+
+    The given tensors are copied into the flat vector `theta`; afterwards
+    every tensor of the bank (`y0` a 0-d one) is a view into it, so writing
+    `theta` moves the networks.
     """
 
-    mode: str
-    sharing: str
-    d: int
-    num_steps: int
-    y0_net: MLPParams | None = None
-    y0: float | None = None
-    z0: np.ndarray | None = None
-    z_nets: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode '{self.mode}' (expected one of {MODES})")
-        if self.sharing not in SHARINGS:
-            raise ConfigError(f"unknown sharing '{self.sharing}' (expected one of {SHARINGS})")
-        if self.d < 1 or self.num_steps < 1:
-            raise ConfigError(
-                f"need d >= 1 and num_steps >= 1, got d={self.d}, num_steps={self.num_steps}"
-            )
-        if self.mode == "general_xi":
-            if self.y0_net is None or self.y0 is not None or self.z0 is not None:
+    def __init__(self, mode, sharing, d, num_steps, y0_net=None, y0=None, z0=None, z_nets=()):
+        self.mode, self.sharing, self.d, self.num_steps = mode, sharing, d, num_steps
+        self.y0_net, self.z_nets = y0_net, list(z_nets)
+        if mode not in MODES:
+            raise ConfigError(f"unknown mode '{mode}' (expected one of {MODES})")
+        if sharing not in SHARINGS:
+            raise ConfigError(f"unknown sharing '{sharing}' (expected one of {SHARINGS})")
+        if d < 1 or num_steps < 1:
+            raise ConfigError(f"need d >= 1 and num_steps >= 1, got d={d}, num_steps={num_steps}")
+        if mode == "general_xi":
+            if y0_net is None or y0 is not None or z0 is not None:
                 raise ConfigError("general_xi banks carry an initial-value network only")
+            head = _mlp_items("psi0", y0_net)
         else:
-            if self.y0_net is not None or self.y0 is None or self.z0 is None:
+            if y0_net is not None or y0 is None or z0 is None:
                 raise ConfigError("deterministic_xi banks carry plain y0 and z0 only")
-            if np.asarray(self.z0).shape != (self.d,):
-                raise ShapeError(f"z0 must have shape ({self.d},), got {np.asarray(self.z0).shape}")
-        expected = self.expected_z_net_count(self.mode, self.sharing, self.num_steps)
+            if np.shape(z0) != (d,):
+                raise ShapeError(f"z0 must have shape ({d},), got {np.shape(z0)}")
+            head = [("y0", np.array([y0], dtype=np.float64)), ("z0", z0)]
+        expected = self.expected_z_net_count(mode, sharing, num_steps)
         if len(self.z_nets) != expected:
             raise ConfigError(
-                f"{self.mode}/{self.sharing} with {self.num_steps} steps needs "
+                f"{mode}/{sharing} with {num_steps} steps needs "
                 f"{expected} gradient networks, got {len(self.z_nets)}"
             )
+        first = 0 if mode == "general_xi" else 1
+        labels = ["phi_shared" if sharing == "shared" else f"phi_{first + k}" for k in range(expected)]
+        groups = [head] + [_mlp_items(label, net) for label, net in zip(labels, self.z_nets)]
+        arrays = [np.asarray(arr, dtype=np.float64) for items in groups for _, arr in items]
+        ends = np.cumsum([arr.size for arr in arrays]).tolist()
+        specs = iter(zip([0] + ends, ends, [arr.shape for arr in arrays]))
+        self._layout = [[next(specs) for _ in items] for items in groups]
+        self._names = [name for items in groups for name, _ in items]
+        self._bind(np.concatenate([arr.ravel() for arr in arrays]))
+
+    def views(self, vec):
+        """(head, nets): views of the flat `vec` shaped like the tensors of
+        the initial-value head and of each gradient network, in flatten order."""
+        head, *nets = [[vec[lo:hi].reshape(shape) for lo, hi, shape in specs]
+                       for specs in self._layout]
+        return head, nets
+
+    def _bind(self, theta):
+        self.theta = theta
+        head, nets = self.views(theta)
+        if self.mode == "general_xi":
+            self.y0_net = MLPParams(self.y0_net.config, head[0::2], head[1::2])
+        else:
+            self.y0, self.z0 = head[0].reshape(()), head[1]
+        self.z_nets = [MLPParams(net.config, v[0::2], v[1::2]) for net, v in zip(self.z_nets, nets)]
+        self._items = list(zip(self._names, head + [a for v in nets for a in v]))
 
     @staticmethod
     def expected_z_net_count(mode, sharing, num_steps):
@@ -196,28 +221,10 @@ class SubnetBank:
             return 0 if self.sharing == "shared" else n - 1
         return 0 if self.sharing == "shared" else n
 
-    def z_net(self, n):
-        """Gradient network used at step n (None when step 0 uses plain z0)."""
-        k = self.z_index(n)
-        return None if k is None else self.z_nets[k]
-
-    def _z_net_labels(self):
-        if self.sharing == "shared":
-            return ["phi_shared"] * len(self.z_nets)
-        first = 0 if self.mode == "general_xi" else 1
-        return [f"phi_{first + k}" for k in range(len(self.z_nets))]
-
     def tensor_items(self):
-        """(name, array) pairs in flatten order; the wire naming of archives."""
-        items = []
-        if self.mode == "general_xi":
-            items.extend(_mlp_items("psi0", self.y0_net))
-        else:
-            items.append(("y0", np.array([self.y0], dtype=np.float64)))
-            items.append(("z0", np.asarray(self.z0, dtype=np.float64)))
-        for label, net in zip(self._z_net_labels(), self.z_nets):
-            items.extend(_mlp_items(label, net))
-        return items
+        """(name, view into theta) pairs in flatten order; the wire naming
+        of archives."""
+        return list(self._items)
 
 
 def _mlp_items(prefix, params):
@@ -229,44 +236,22 @@ def _mlp_items(prefix, params):
 
 
 def param_count(bank):
-    return sum(arr.size for _, arr in bank.tensor_items())
+    return bank.theta.size
 
 
 def flatten_params(bank):
-    """All trainable scalars as one float64 vector, in the documented order."""
-    return np.concatenate([np.asarray(arr, dtype=np.float64).ravel() for _, arr in bank.tensor_items()])
+    """A copy of the bank's flat vector theta, in the documented order."""
+    return bank.theta.copy()
 
 
 def unflatten_params(template, vector):
-    """Inverse of flatten_params against a structurally identical bank."""
+    """A bank shaped like `template` over a copy of `vector` (the inverse of
+    flatten_params); `template` is left untouched."""
     vector = np.asarray(vector, dtype=np.float64)
-    expected = param_count(template)
-    if vector.ndim != 1 or vector.size != expected:
-        raise ShapeError(f"expected a flat vector of {expected} entries, got shape {vector.shape}")
-
-    offset = 0
-
-    def take(shape):
-        nonlocal offset
-        size = int(np.prod(shape))
-        chunk = vector[offset:offset + size].reshape(shape).copy()
-        offset += size
-        return chunk
-
-    kwargs = dict(mode=template.mode, sharing=template.sharing,
-                  d=template.d, num_steps=template.num_steps)
-    if template.mode == "general_xi":
-        kwargs["y0_net"] = _take_mlp_interleaved(template.y0_net, take)
-    else:
-        kwargs["y0"] = float(take((1,))[0])
-        kwargs["z0"] = take((template.d,))
-    kwargs["z_nets"] = [_take_mlp_interleaved(net, take) for net in template.z_nets]
-    return SubnetBank(**kwargs)
-
-
-def _take_mlp_interleaved(params, take):
-    weights, biases = [], []
-    for w, b in zip(params.weights, params.biases):
-        weights.append(take(w.shape))
-        biases.append(take(b.shape))
-    return MLPParams(params.config, weights, biases)
+    if vector.shape != template.theta.shape:
+        raise ShapeError(
+            f"expected a flat vector of {template.theta.size} entries, got shape {vector.shape}"
+        )
+    bank = copy.copy(template)
+    bank._bind(vector.copy())
+    return bank

@@ -220,16 +220,15 @@ def euler_step(problem, t, x, dt, dw):
 
 def _simulate_chunk(problem, grid, stream, lo, hi, states, increments):
     states[lo:hi, 0, :] = problem.xi.sample_block(stream, lo, hi)
-    times = grid.times
     d = problem.d
     for n in range(grid.num_steps):
-        dtn = float(times[n + 1] - times[n])
+        dtn = grid.dt(n)
         z = block_normals(stream, n + 1, lo, hi, d)
         dw = z * math.sqrt(dtn)
         increments[lo:hi, n, :] = dw
         try:
             states[lo:hi, n + 1, :] = euler_step(
-                problem, float(times[n]), states[lo:hi, n, :], dtn, dw
+                problem, float(grid.times[n]), states[lo:hi, n, :], dtn, dw
             )
         except NumericError as e:
             raise NumericError(f"step {n}, samples [{lo}, {hi}): {e}") from e

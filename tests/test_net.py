@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from deepbsde.bsde import rollout_values
 from deepbsde.errors import ConfigError, ShapeError
 from deepbsde.net import (
+    MODES,
+    SHARINGS,
     MLPConfig,
     SubnetBank,
     flatten_params,
@@ -12,6 +15,8 @@ from deepbsde.net import (
     param_count,
     unflatten_params,
 )
+from deepbsde.problems import get_problem
+from deepbsde.sde import RngStream, make_uniform_grid, simulate_paths
 
 from conftest import central_diff_grad, max_rel_err
 
@@ -144,30 +149,65 @@ def test_mlp_gradients_match_finite_differences():
 
 def test_shared_bank_uses_one_network_for_all_steps():
     bank = SubnetBank.create("general_xi", "shared", d=2, num_steps=5, hidden=(6, 6))
-    nets = {id(bank.z_net(n)) for n in range(5)}
-    assert len(nets) == 1
+    assert {bank.z_index(n) for n in range(5)} == {0}
     x = np.random.default_rng(3).standard_normal((4, 2))
-    outs = [mlp_eval(bank.z_net(n), x) for n in range(5)]
+    outs = [mlp_eval(bank.z_nets[bank.z_index(n)], x) for n in range(5)]
     for o in outs[1:]:
         assert np.array_equal(o, outs[0])
 
 
 def test_deterministic_bank_step_zero_has_no_network():
     bank = SubnetBank.create("deterministic_xi", "independent", d=2, num_steps=4)
-    assert bank.z_net(0) is None
+    assert bank.z_index(0) is None
     assert len(bank.z_nets) == 3
     assert bank.y0 == 0.0
     assert np.array_equal(bank.z0, np.zeros(2))
 
 
 def test_flatten_round_trip_bitwise():
-    bank = SubnetBank.create("general_xi", "independent", d=3, num_steps=4, hidden=(6, 5), seed=8)
-    vec = flatten_params(bank)
-    assert vec.size == param_count(bank)
-    back = unflatten_params(bank, vec)
-    for (name_a, a), (name_b, b) in zip(bank.tensor_items(), back.tensor_items()):
-        assert name_a == name_b
-        assert np.array_equal(np.asarray(a), np.asarray(b))
+    for mode in MODES:
+        for sharing in SHARINGS:
+            bank = SubnetBank.create(mode, sharing, d=3, num_steps=4, hidden=(6, 5), seed=8)
+            vec = flatten_params(bank)
+            assert vec.size == param_count(bank)
+            assert not np.shares_memory(vec, bank.theta)
+            back = unflatten_params(bank, vec)
+            assert not np.shares_memory(back.theta, vec)
+            assert not np.shares_memory(back.theta, bank.theta)
+            for (name_a, a), (name_b, b) in zip(bank.tensor_items(), back.tensor_items()):
+                assert name_a == name_b
+                assert np.array_equal(np.asarray(a), np.asarray(b))
+            # neither the flat copy nor the unflattened bank writes through
+            kept = vec.copy()
+            vec += 1.0
+            assert np.array_equal(back.theta, kept)
+            back.theta[:] = 0.0
+            assert np.array_equal(flatten_params(bank), kept)
+
+
+@pytest.mark.parametrize("sharing", SHARINGS)
+@pytest.mark.parametrize("mode", MODES)
+def test_bank_tensors_are_views_of_theta(mode, sharing):
+    d, n = 2, 3
+    bank = SubnetBank.create(mode, sharing, d, n, hidden=(4, 4), seed=6)
+    items = bank.tensor_items()
+    assert all(np.shares_memory(arr, bank.theta) for _, arr in items)
+    # the views tile theta in flatten order, without gaps or overlaps
+    assert np.array_equal(np.concatenate([arr.ravel() for _, arr in items]), bank.theta)
+    assert sum(arr.size for _, arr in items) == bank.theta.size
+
+    problem = get_problem("allen_cahn", d)
+    grid = make_uniform_grid(problem.T, n)
+    paths, incs = simulate_paths(problem, grid, 16, RngStream(5))
+    before = rollout_values(problem, bank, grid, paths, incs)
+    moved = flatten_params(bank) + 0.1 * RngStream(7).normals(bank.theta.size)
+    bank.theta[:] = moved
+    after = rollout_values(problem, bank, grid, paths, incs)
+    assert after.loss != before.loss
+    assert not np.array_equal(after.y0_values, before.y0_values)
+    rebuilt = rollout_values(problem, unflatten_params(bank, moved), grid, paths, incs)
+    assert rebuilt.loss == after.loss
+    assert np.array_equal(rebuilt.terminal_values, after.terminal_values)
 
 
 def test_flatten_perturbation_scan():

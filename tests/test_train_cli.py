@@ -21,7 +21,6 @@ from deepbsde.train import (
     MetricsRecord,
     format_metrics_row,
     load_archive,
-    load_params,
     run_train,
     save_params,
     write_metrics,
@@ -113,7 +112,7 @@ def test_archive_round_trip_shared_and_deterministic(tmp_path):
         bank = _fresh_bank(mode, sharing)
         path = tmp_path / f"{mode}_{sharing}.json"
         save_params(bank, {}, path)
-        loaded = load_params(path)
+        loaded, _ = load_archive(path)
         assert loaded.mode == mode and loaded.sharing == sharing
         assert param_count(loaded) == param_count(bank)
         for (_, a), (_, b) in zip(bank.tensor_items(), loaded.tensor_items()):
@@ -162,15 +161,67 @@ def _poison_archive(path, tensor, token):
     path.write_text("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+DAMAGES = ["NaN", "Infinity", "-Infinity", "truncated", "not_an_object",
+           "entry_without_name", "entry_without_shape", "entry_without_data"]
+
+
+def _damage_archive(path, kind, tensor):
+    """Corrupt the archive as a hand edit or a crash mid-write could; returns
+    a pattern the ConfigError message matches."""
+    text = path.read_text()
+    if kind in ("NaN", "Infinity", "-Infinity"):
+        _poison_archive(path, tensor, kind)
+        assert kind in path.read_text()
+        return f"'{tensor}' holds non-finite values"
+    if kind == "truncated":
+        path.write_text(text[: len(text) // 2])
+        return "not valid JSON"
+    if kind == "not_an_object":
+        path.write_text("[]\n")
+        return "not a JSON object"
+    field = {
+        "entry_without_name": r'"name": "[^"]*", ',
+        "entry_without_shape": r'"shape": \[[^\]]*\], ',
+        "entry_without_data": r', "data": \[[^\]]*\]',
+    }[kind]
+    path.write_text(re.sub(field, "", text, count=1))
+    return "tensor entry 0 lacks name, shape or data"
+
+
+@pytest.mark.parametrize("token", DAMAGES)
 def test_archive_rejects_non_finite_tensor(tmp_path, token):
     bank = _fresh_bank()
     path = tmp_path / "params.json"
     save_params(bank, {}, path)
-    _poison_archive(path, "phi_1.layer_0.weight", token)
-    assert token in path.read_text()
-    with pytest.raises(ConfigError, match="phi_1.layer_0.weight"):
+    message = _damage_archive(path, token, "phi_1.layer_0.weight")
+    with pytest.raises(ConfigError, match=message):
         load_archive(path)
+
+
+@pytest.mark.parametrize("name", ["point_independent", "box_shared"])
+def test_archive_from_per_tensor_layout_round_trips_bytewise(tmp_path, name):
+    # written by run_train before the bank's tensors became views of one
+    # flat vector (commit f519a70): names, order and values must carry over
+    source = Path(__file__).parent / "data" / f"params_{name}.json"
+    bank, config = load_archive(source)
+    save_params(bank, config, tmp_path / "params.json")
+    assert (tmp_path / "params.json").read_bytes() == source.read_bytes()
+
+
+def test_save_params_failure_keeps_previous_archive(tmp_path, monkeypatch):
+    path = tmp_path / "params.json"
+    save_params(_fresh_bank(), {"note": "old"}, path)
+    before = path.read_bytes()
+
+    def disk_full(fd):
+        raise OSError(28, "No space left on device")
+
+    # the new archive is fully written but never made durable
+    monkeypatch.setattr(os, "fsync", disk_full)
+    with pytest.raises(OSError, match="No space"):
+        save_params(_fresh_bank("deterministic_xi"), {"note": "new"}, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["params.json"]
 
 
 def test_archive_rejects_missing_tensor(tmp_path):
@@ -196,7 +247,7 @@ def test_zero_iterations_logs_init_state(tmp_path):
 
     # archive must hold the untouched initial parameters
     reference = cfg.build_bank(RngStream(cfg.seed).derive(1).seed_state)
-    loaded = load_params(tmp_path / "run" / "params.json")
+    loaded, _ = load_archive(tmp_path / "run" / "params.json")
     for (_, a), (_, b) in zip(reference.tensor_items(), loaded.tensor_items()):
         assert np.array_equal(a, b)
 
@@ -419,10 +470,14 @@ def test_cli_eval_non_finite_archive_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
     capsys.readouterr()
-    _poison_archive(out / "params.json", "y0", "NaN")
-    code = main(["eval", "--params", str(out / "params.json"), "--problem", "heat"])
-    assert code == 2
-    assert "'y0' holds non-finite values" in capsys.readouterr().err
+    archive = (out / "params.json").read_text()
+    for kind in DAMAGES:
+        damaged = tmp_path / f"{kind}.json"
+        damaged.write_text(archive)
+        message = _damage_archive(damaged, kind, "y0")
+        code = main(["eval", "--params", str(damaged), "--problem", "heat"])
+        assert code == 2, kind
+        assert re.search(message, capsys.readouterr().err), kind
 
 
 def test_module_entry_point_subprocess(tmp_path):
