@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf as gttrf, dgttrs as gttrs
 
 from .errors import ConfigError, NumericError
 from .problems import with_point_start
@@ -108,6 +108,14 @@ def fd_semilinear_1d(problem, x0, half_width=None, nodes=400, time_steps=None):
     central differences. Boundary rows impose zero second derivative
     (linear extrapolation), which keeps the interior system tridiagonal.
 
+    mu and sigma are evaluated once per time level: a step's new level is
+    the next step's old level, at the same float time. The tridiagonal LU
+    (LAPACK gttrf) is refactored only at a level whose mu or sigma values
+    differ from the previous level's, so time-dependent coefficients
+    refactor at every step and constant ones once; each step then costs one
+    gttrs solve. A singular system or a non-finite solution raises
+    NumericError naming the time step.
+
     Defaults: L = 6 sigma sqrt(T); time_steps = ceil(4 nodes^2 sigma^2 T / L^2),
     the documented stability margin for the explicit part.
     """
@@ -133,26 +141,45 @@ def fd_semilinear_1d(problem, x0, half_width=None, nodes=400, time_steps=None):
     dx = xs[1] - xs[0]
     dt = T / time_steps
     u = np.asarray(problem.g(xs[:, None]), dtype=np.float64).reshape(m + 1).copy()
+    zero_drift = np.zeros(m + 1)
 
-    def operator_coeffs(t):
-        mu = np.zeros(m + 1) if problem.mu is None else \
+    def level(t):
+        mu = zero_drift if problem.mu is None else \
             np.asarray(problem.mu(t, xs[:, None]), dtype=np.float64).reshape(m + 1)
-        s2 = _scalar_sigma(problem, t, xs) ** 2
+        return mu, _scalar_sigma(problem, t, xs)
+
+    def operator_coeffs(mu, sig):
+        s2 = sig ** 2
         lower = -mu / (2.0 * dx) + s2 / (2.0 * dx ** 2)
         diag = -s2 / dx ** 2
         upper = mu / (2.0 * dx) + s2 / (2.0 * dx ** 2)
         return lower, diag, upper
 
+    def implicit_factor(lower, diag, upper, j):
+        a = -0.5 * dt * lower[1:m]
+        b = 1.0 - 0.5 * dt * diag[1:m]
+        c = -0.5 * dt * upper[1:m]
+        # fold the zero-curvature boundary (u_0 = 2u_1 - u_2 and mirrored)
+        # into the first and last interior rows
+        b[0] += 2.0 * a[0]
+        c[0] -= a[0]
+        b[-1] += 2.0 * c[-1]
+        a[-1] -= c[-1]
+        *lu, info = gttrf(a[1:], b, c[:-1])
+        if info > 0:
+            raise NumericError(f"singular implicit system at time step {j}")
+        return lu
+
+    mu, sig = level(T)
+    coeffs = operator_coeffs(mu, sig)
+    lu = None
     for j in range(time_steps):
         t_old = T - j * dt
-        t_new = T - (j + 1) * dt
-
-        lo_o, di_o, up_o = operator_coeffs(t_old)
+        lower, diag, upper = coeffs
         rhs_interior = u[1:m] + 0.5 * dt * (
-            lo_o[1:m] * u[0:m - 1] + di_o[1:m] * u[1:m] + up_o[1:m] * u[2:m + 1]
+            lower[1:m] * u[0:m - 1] + diag[1:m] * u[1:m] + upper[1:m] * u[2:m + 1]
         )
         if problem.f is not None:
-            sig = _scalar_sigma(problem, t_old, xs)
             du_dx = np.empty(m + 1)
             du_dx[1:m] = (u[2:] - u[:-2]) / (2.0 * dx)
             du_dx[0] = (u[1] - u[0]) / dx
@@ -163,26 +190,19 @@ def fd_semilinear_1d(problem, x0, half_width=None, nodes=400, time_steps=None):
             ).reshape(m + 1)
             rhs_interior = rhs_interior + dt * fv[1:m]
 
-        lo_n, di_n, up_n = operator_coeffs(t_new)
-        a = -0.5 * dt * lo_n[1:m]
-        b = 1.0 - 0.5 * dt * di_n[1:m]
-        c = -0.5 * dt * up_n[1:m]
-        # fold the zero-curvature boundary (u_0 = 2u_1 - u_2 and mirrored)
-        # into the first and last interior rows
-        b[0] += 2.0 * a[0]
-        c[0] -= a[0]
-        b[-1] += 2.0 * c[-1]
-        a[-1] -= c[-1]
-
-        ab = np.zeros((3, m - 1))
-        ab[0, 1:] = c[:-1]
-        ab[1, :] = b
-        ab[2, :-1] = a[1:]
-        interior = solve_banded((1, 1), ab, rhs_interior)
+        mu_new, sig_new = level(T - (j + 1) * dt)
+        unchanged = (mu_new is mu or np.array_equal(mu_new, mu)) and np.array_equal(sig_new, sig)
+        if not unchanged:
+            coeffs = operator_coeffs(mu_new, sig_new)
+            lu = None
+        mu, sig = mu_new, sig_new
+        if lu is None:
+            lu = implicit_factor(*coeffs, j)
+        interior, _ = gttrs(*lu, rhs_interior, overwrite_b=1)
         u[1:m] = interior
         u[0] = 2.0 * u[1] - u[2]
         u[m] = 2.0 * u[m - 1] - u[m - 2]
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u).all():
             raise NumericError(f"non-finite values at time step {j}")
 
     value = float(np.interp(x0, xs, u))

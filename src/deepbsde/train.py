@@ -146,7 +146,13 @@ def load_archive(path):
         if name not in stored:
             raise ConfigError(f"archive lacks tensor '{name}'")
         shape, data = stored.pop(name)
-        shape, values = tuple(shape), np.asarray(data, dtype=np.float64)
+        if not isinstance(shape, list) or not isinstance(data, list):
+            raise ConfigError(f"tensor '{name}' needs a list shape and list data")
+        try:
+            values = np.asarray(data, dtype=np.float64)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"tensor '{name}' holds non-numeric data: {e}") from e
+        shape = tuple(shape)
         if shape != view.shape:
             raise ShapeError(f"tensor '{name}' has shape {shape}, expected {view.shape}")
         if values.size != view.size:

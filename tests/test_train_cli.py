@@ -153,26 +153,38 @@ def test_archive_rejects_unexpected_tensor(tmp_path):
         load_archive(path)
 
 
-def _poison_archive(path, tensor, token):
-    """Hand-edit the archive: the first value of `tensor` becomes `token`."""
+def _edit_tensor(path, tensor, pattern, replacement):
+    """Hand-edit the archive: the first match of `pattern` in the line of
+    `tensor` becomes `replacement`."""
     lines = path.read_text().splitlines()
     row = next(i for i, line in enumerate(lines) if f'"name": "{tensor}"' in line)
-    lines[row] = re.sub(r'("data": \[)[^,\]]+', lambda m: m.group(1) + token, lines[row], count=1)
+    lines[row] = re.sub(pattern, lambda m: replacement, lines[row], count=1)
     path.write_text("\n".join(lines) + "\n")
 
 
 DAMAGES = ["NaN", "Infinity", "-Infinity", "truncated", "not_an_object",
-           "entry_without_name", "entry_without_shape", "entry_without_data"]
+           "entry_without_name", "entry_without_shape", "entry_without_data",
+           "non_numeric", "nested_garbage", "null_data", "null_shape"]
+
+# the first value of a tensor becomes this token
+_FIRST_VALUE = {"NaN": "NaN", "Infinity": "Infinity", "-Infinity": "-Infinity",
+                "non_numeric": '"x"', "nested_garbage": '[0.5, {"k": null}]'}
 
 
 def _damage_archive(path, kind, tensor):
     """Corrupt the archive as a hand edit or a crash mid-write could; returns
     a pattern the ConfigError message matches."""
     text = path.read_text()
-    if kind in ("NaN", "Infinity", "-Infinity"):
-        _poison_archive(path, tensor, kind)
-        assert kind in path.read_text()
+    if kind in _FIRST_VALUE:
+        _edit_tensor(path, tensor, r'(?<="data": \[)[^,\]]+', _FIRST_VALUE[kind])
+        assert _FIRST_VALUE[kind] in path.read_text()
+        if kind in ("non_numeric", "nested_garbage"):
+            return f"'{tensor}' holds non-numeric data"
         return f"'{tensor}' holds non-finite values"
+    if kind in ("null_data", "null_shape"):
+        field = kind.split("_")[1]
+        _edit_tensor(path, tensor, rf'"{field}": \[[^\]]*\]', f'"{field}": null')
+        return f"'{tensor}' needs a list shape and list data"
     if kind == "truncated":
         path.write_text(text[: len(text) // 2])
         return "not valid JSON"
