@@ -9,25 +9,13 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from .config import parse_config
 from .errors import ConfigError, DeepBsdeError, NumericError
 from .bsde import estimate_u0
 from .oracle import cole_hopf_mc, fd_semilinear_1d, mc_feynman_kac
-from .problems import exact_eval, get_problem
+from .problems import exact_eval, get_problem, override_keys
 from .sde import RngStream, make_uniform_grid
 from .train import load_archive, run_train
-
-
-def _vector(values, d, flag):
-    """[d] array from a CLI value list; a single value broadcasts."""
-    vals = [float(v) for v in values]
-    if len(vals) == 1:
-        vals = vals * d
-    if len(vals) != d:
-        raise ConfigError(f"{flag} needs 1 or {d} values, got {len(vals)}")
-    return np.array(vals, dtype=np.float64)
 
 
 def _parse_grid(text):
@@ -61,11 +49,11 @@ def cmd_train(args):
 
 
 def cmd_oracle(args):
-    overrides = {"T": args.T}
+    overrides = {"T": args.T, "xi0": args.x0}
     if args.problem == "hjb":
         overrides["lambda"] = args.lam
     problem = get_problem(args.problem, args.d, overrides)
-    x0 = _vector(args.x0, args.d, "--x0")
+    x0 = problem.xi.point
     stream = RngStream(args.seed)
 
     if problem.f is None:
@@ -88,7 +76,7 @@ def cmd_oracle(args):
     print(f"{method}: u(0, x0) = {est.value:.10g} +/- {est.stderr:.4g}")
     record = {
         "method": method, "problem": args.problem, "d": args.d, "T": args.T,
-        "x0": [float(v) for v in x0], "seed": args.seed,
+        "x0": x0.tolist(), "seed": args.seed,
         "value": est.value, "stderr": est.stderr, "info": est.info,
     }
     if args.problem == "hjb":
@@ -106,21 +94,13 @@ def cmd_eval(args):
         raise ConfigError(
             f"archive was trained on '{cfg['problem']}', not '{args.problem}'"
         )
-    overrides = {"T": float(cfg.get("T", 1.0)), "xi_mode": cfg.get("xi_mode", "point")}
-    if overrides["xi_mode"] == "point":
-        overrides["xi0"] = tuple(cfg.get("xi0", (0.0,) * bank.d))
-    else:
-        overrides["box_low"] = tuple(cfg.get("box_low", (-1.0,) * bank.d))
-        overrides["box_high"] = tuple(cfg.get("box_high", (1.0,) * bank.d))
-    if args.problem == "hjb":
-        overrides["lambda"] = float(cfg.get("lambda", 1.0))
-    problem = get_problem(args.problem, bank.d, overrides)
+    keys = override_keys(args.problem)
+    problem = get_problem(args.problem, bank.d, {k: cfg[k] for k in keys if k in cfg})
 
     mean, spread = estimate_u0(bank, problem, args.samples, RngStream(args.seed))
     print(f"u(0, xi) = {mean:.10g} (spread {spread:.4g} over {args.samples} draws)")
-    if problem.exact is not None and overrides["xi_mode"] == "point":
-        x0 = _vector(overrides["xi0"], bank.d, "xi0")
-        exact_value, _ = exact_eval(problem, 0.0, x0)
+    if problem.exact is not None and problem.xi.kind == "point":
+        exact_value, _ = exact_eval(problem, 0.0, problem.xi.point)
         print(f"exact:     {exact_value:.10g} (|error| {abs(mean - exact_value):.4g})")
     return 0
 
@@ -142,7 +122,7 @@ def build_parser():
     p_oracle = sub.add_parser("oracle", help="compute a reference value for u(0, x0)")
     p_oracle.add_argument("--problem", required=True)
     p_oracle.add_argument("--d", type=int, required=True)
-    p_oracle.add_argument("--x0", nargs="+", default=["0.0"],
+    p_oracle.add_argument("--x0", nargs="+", type=float, default=[0.0],
                           help="starting point; one value broadcasts to d")
     p_oracle.add_argument("--samples", type=int, default=100000)
     p_oracle.add_argument("--lambda", dest="lam", type=float, default=1.0)

@@ -180,7 +180,7 @@ class ProblemSpec:
         if self.d < 1:
             raise ConfigError(f"dimension must be at least 1, got {self.d}")
         if self.T <= 0.0:
-            raise ConfigError(f"horizon must be positive, got {self.T}")
+            raise ConfigError(f"'T' must be positive, got {self.T}")
         if self.xi.dim != self.d:
             raise ShapeError(f"initial sampler is {self.xi.dim}-dimensional, problem is {self.d}")
 
@@ -260,7 +260,8 @@ def _allen_cahn(d, T, xi):
 _COMMON_KEYS = ("T", "xi_mode", "xi0", "box_low", "box_high")
 
 
-def _as_vector(value, d, key):
+def as_vector(value, d, key):
+    """[d] float array from a scalar or a 1- or d-entry sequence (one broadcasts)."""
     arr = np.asarray(value, dtype=np.float64).reshape(-1)
     if arr.size == 1:
         return np.full(d, arr[0])
@@ -272,32 +273,35 @@ def _as_vector(value, d, key):
 def _build_xi(d, overrides):
     mode = overrides.get("xi_mode", "point")
     if mode == "point":
-        return XiSampler.point_mass(_as_vector(overrides.get("xi0", 0.0), d, "xi0"))
+        return XiSampler.point_mass(as_vector(overrides.get("xi0", 0.0), d, "xi0"))
     if mode == "box":
-        low = _as_vector(overrides.get("box_low", -1.0), d, "box_low")
-        high = _as_vector(overrides.get("box_high", 1.0), d, "box_high")
+        low = as_vector(overrides.get("box_low", -1.0), d, "box_low")
+        high = as_vector(overrides.get("box_high", 1.0), d, "box_high")
         return XiSampler.uniform_box(low, high)
     raise ConfigError(f"unknown xi_mode '{mode}' (expected 'point' or 'box')")
 
 
-def get_problem(name, d, overrides=None):
-    """Construct a built-in problem instance.
+def override_keys(name):
+    """The override keys get_problem accepts for problem `name`."""
+    return _COMMON_KEYS + (("lambda",) if name == "hjb" else ())
 
-    Accepted override keys: T, xi_mode, xi0, box_low, box_high, and (for
-    hjb only) lambda. Unknown names and keys are rejected.
+
+def get_problem(name, d, overrides=None):
+    """Construct a built-in problem instance, checking and defaulting its
+    settings: T (1), xi_mode (point), xi0 (0), box_low (-1), box_high (1),
+    and for hjb only lambda (1); vectors take 1 or d entries. Unknown names
+    and keys are rejected.
     """
     overrides = dict(overrides or {})
     if name not in BUILTIN_PROBLEMS:
         raise ConfigError(f"unknown problem '{name}' (expected one of {BUILTIN_PROBLEMS})")
-    allowed = set(_COMMON_KEYS) | ({"lambda"} if name == "hjb" else set())
+    allowed = set(override_keys(name))
     unknown = sorted(set(overrides) - allowed)
     if unknown:
         raise ConfigError(
             f"unknown override keys {unknown} for '{name}' (accepted: {sorted(allowed)})"
         )
     T = float(overrides.get("T", 1.0))
-    if T <= 0.0:
-        raise ConfigError(f"override 'T' must be positive, got {T}")
     xi = _build_xi(d, overrides)
     if name == "heat":
         return _heat(d, T, xi)
@@ -381,5 +385,5 @@ def pde_residual(problem, t, x, step=1e-3):
 
 def with_point_start(problem, x0):
     """Same problem restarted from a point mass at x0."""
-    x0 = _as_vector(x0, problem.d, "x0")
+    x0 = as_vector(x0, problem.d, "x0")
     return replace(problem, xi=XiSampler.point_mass(x0))

@@ -29,6 +29,7 @@ from .errors import ConfigError, NumericError, ShapeError
 # it under this module's name, where it now reads 0 ms per step
 from .net import SubnetBank, param_count, unflatten_params  # noqa: F401
 from .optim import AdamState, adam_step, clip_by_global_norm, lr_at, sgd_step
+from .problems import as_vector
 from .sde import RngStream, make_uniform_grid, simulate_paths
 
 METRICS_HEADER = "step,loss,y0,grad_norm,lr,elapsed_s"
@@ -73,7 +74,7 @@ def write_metrics(records, path):
 
 def _tensor_json(name, arr):
     shape = ",".join(str(int(s)) for s in arr.shape)
-    data = ",".join(_fmt(v) for v in arr.ravel())
+    data = ("%.17g," * arr.size % tuple(arr.ravel().tolist()))[:-1]
     return '{"name": %s, "shape": [%s], "data": [%s]}' % (json.dumps(name), shape, data)
 
 
@@ -148,10 +149,13 @@ def load_archive(path):
         shape, data = stored.pop(name)
         if not isinstance(shape, list) or not isinstance(data, list):
             raise ConfigError(f"tensor '{name}' needs a list shape and list data")
+        # bool is not a number here, and a string would convert silently
+        if not set(map(type, data)) <= {int, float}:
+            raise ConfigError(f"tensor '{name}' holds non-numeric data")
         try:
             values = np.asarray(data, dtype=np.float64)
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"tensor '{name}' holds non-numeric data: {e}") from e
+        except OverflowError as e:
+            raise ConfigError(f"tensor '{name}' holds a value beyond float range: {e}") from e
         shape = tuple(shape)
         if shape != view.shape:
             raise ShapeError(f"tensor '{name}' has shape {shape}, expected {view.shape}")
@@ -166,25 +170,17 @@ def load_archive(path):
 
 
 def _config_echo(config):
+    """The run's settings as archived, problem vectors broadcast to d entries."""
     echo = {
-        "problem": config.problem, "d": config.d, "T": config.T, "N": config.N,
+        "problem": config.problem, "d": config.d, "N": config.N,
         "batch_size": config.batch_size, "iterations": config.iterations,
         "seed": config.seed, "optimizer": config.optimizer,
         "activation": config.activation, "hidden": list(config.hidden_widths()),
-        "sharing": config.sharing, "mode": config.mode, "xi_mode": config.xi_mode,
+        "sharing": config.sharing, "mode": config.mode,
         "eval_every": config.eval_every, "eval_samples": config.eval_samples,
     }
-    def broadcast(values):
-        vals = [float(v) for v in values]
-        return vals * config.d if len(vals) == 1 else vals
-
-    if config.xi_mode == "point":
-        echo["xi0"] = broadcast(config.xi0)
-    else:
-        echo["box_low"] = broadcast(config.box_low)
-        echo["box_high"] = broadcast(config.box_high)
-    if config.problem == "hjb":
-        echo["lambda"] = config.lam
+    for key, value in config.problem_overrides().items():
+        echo[key] = as_vector(value, config.d, key).tolist() if isinstance(value, tuple) else value
     return echo
 
 

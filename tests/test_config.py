@@ -170,9 +170,17 @@ def test_box_start_defaults_to_general_mode():
     assert "xi0" not in overrides
 
 
-def test_deterministic_mode_requires_point_start():
-    text = MINIMAL + "xi_mode = box\nmode = deterministic_xi\n"
-    with pytest.raises(ConfigError, match="requires xi_mode 'point'"):
+def test_mode_is_not_a_config_key():
+    # the bank variant follows from xi_mode alone
+    with pytest.raises(ConfigError, match="unknown key 'mode'"):
+        parse_config_text(MINIMAL + "mode = deterministic_xi\n")
+
+
+def test_wrong_length_start_point_rejected_at_parse():
+    with pytest.raises(ConfigError, match="'xi0' needs 1 or 2 entries, got 3"):
+        parse_config_text(MINIMAL + "xi0 = 1, 2, 3\n")
+    text = MINIMAL + "xi_mode = box\nbox_low = -1, -1, -1\n"
+    with pytest.raises(ConfigError, match="'box_low' needs 1 or 2 entries, got 3"):
         parse_config_text(text)
 
 
@@ -181,7 +189,6 @@ def test_unknown_enum_values_rejected():
         ("optimizer = lbfgs", "unknown optimizer"),
         ("sharing = tied", "unknown sharing"),
         ("xi_mode = gaussian", "unknown xi_mode"),
-        ("mode = mystery", "unknown mode"),
     ]:
         with pytest.raises(ConfigError, match=fragment):
             parse_config_text(MINIMAL + extra + "\n")

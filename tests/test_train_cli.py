@@ -15,6 +15,8 @@ from deepbsde.cli import main
 from deepbsde.config import parse_config_text
 from deepbsde.errors import ConfigError, ShapeError
 from deepbsde.net import param_count
+from deepbsde.bsde import estimate_u0
+from deepbsde.problems import get_problem
 from deepbsde.sde import RngStream
 from deepbsde.train import (
     METRICS_HEADER,
@@ -22,6 +24,7 @@ from deepbsde.train import (
     format_metrics_row,
     load_archive,
     run_train,
+    _tensor_json,
     save_params,
     write_metrics,
 )
@@ -164,11 +167,14 @@ def _edit_tensor(path, tensor, pattern, replacement):
 
 DAMAGES = ["NaN", "Infinity", "-Infinity", "truncated", "not_an_object",
            "entry_without_name", "entry_without_shape", "entry_without_data",
-           "non_numeric", "nested_garbage", "null_data", "null_shape"]
+           "non_numeric", "nested_garbage", "null_data", "null_shape",
+           "bool_value", "numeric_string", "huge_integer"]
 
 # the first value of a tensor becomes this token
 _FIRST_VALUE = {"NaN": "NaN", "Infinity": "Infinity", "-Infinity": "-Infinity",
-                "non_numeric": '"x"', "nested_garbage": '[0.5, {"k": null}]'}
+                "non_numeric": '"x"', "nested_garbage": '[0.5, {"k": null}]',
+                "bool_value": "true", "numeric_string": '"0.5"',
+                "huge_integer": "1" + "0" * 400}
 
 
 def _damage_archive(path, kind, tensor):
@@ -178,8 +184,10 @@ def _damage_archive(path, kind, tensor):
     if kind in _FIRST_VALUE:
         _edit_tensor(path, tensor, r'(?<="data": \[)[^,\]]+', _FIRST_VALUE[kind])
         assert _FIRST_VALUE[kind] in path.read_text()
-        if kind in ("non_numeric", "nested_garbage"):
+        if kind in ("non_numeric", "nested_garbage", "bool_value", "numeric_string"):
             return f"'{tensor}' holds non-numeric data"
+        if kind == "huge_integer":
+            return f"'{tensor}' holds a value beyond float range"
         return f"'{tensor}' holds non-finite values"
     if kind in ("null_data", "null_shape"):
         field = kind.split("_")[1]
@@ -208,6 +216,14 @@ def test_archive_rejects_non_finite_tensor(tmp_path, token):
     message = _damage_archive(path, token, "phi_1.layer_0.weight")
     with pytest.raises(ConfigError, match=message):
         load_archive(path)
+
+
+def test_archive_values_print_as_17_significant_digits():
+    values = np.array([0.0, -0.0, 5e-324, 1e-05, 123.0, 1e16])
+    text = _tensor_json("w", values.reshape(2, 3))
+    expected = ",".join(format(v, ".17g") for v in values)
+    assert text == '{"name": "w", "shape": [2,3], "data": [%s]}' % expected
+    assert expected == "0,-0,4.9406564584124654e-324,1.0000000000000001e-05,123,10000000000000000"
 
 
 @pytest.mark.parametrize("name", ["point_independent", "box_shared"])
@@ -477,6 +493,39 @@ def test_cli_eval_problem_mismatch_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_eval_box_start_rebuilds_the_trained_problem(tmp_path, capsys):
+    text = TINY + "T = 0.7\nxi_mode = box\nbox_low = -0.5, 0\nbox_high = 0.25\n"
+    cfg = parse_config_text(text)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(_write_config(tmp_path, text)),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    bank, _ = load_archive(out / "params.json")
+    mean, _ = estimate_u0(bank, cfg.build_problem(), 256, RngStream(9))
+    code = main(["eval", "--params", str(out / "params.json"), "--problem", "heat",
+                 "--samples", "256", "--seed", "9"])
+    assert code == 0
+    stdout = capsys.readouterr().out
+    assert stdout.splitlines()[0].startswith(f"u(0, xi) = {mean:.10g} ")
+    # a box start has no single point to compare the exact solution at
+    assert "exact:" not in stdout
+
+
+def test_cli_eval_bare_archive_uses_problem_defaults(tmp_path, capsys):
+    bank = _fresh_bank("deterministic_xi")
+    path = tmp_path / "params.json"
+    save_params(bank, None, path)
+    problem = get_problem("heat", bank.d)
+    mean, _ = estimate_u0(bank, problem, 128, RngStream(4))
+    code = main(["eval", "--params", str(path), "--problem", "heat",
+                 "--samples", "128", "--seed", "4"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"u(0, xi) = {mean:.10g} ")
+    # heat's exact u(0, 0) = 2 d T with the default T = 1 and xi0 = 0
+    assert lines[1].startswith(f"exact:     {2.0 * bank.d:.10g} ")
+
+
 def test_cli_eval_non_finite_archive_exits_2(tmp_path, capsys):
     cfg_path = _write_config(tmp_path)
     out = tmp_path / "out"
@@ -522,4 +571,11 @@ def test_module_entry_point_subprocess(tmp_path):
 def test_cli_usage_error_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["schmain"])
+    assert info.value.code == 2
+
+
+def test_cli_oracle_non_numeric_x0_exits_2(tmp_path):
+    with pytest.raises(SystemExit) as info:
+        main(["oracle", "--problem", "heat", "--d", "2", "--x0", "abc",
+              "--out", str(tmp_path / "o.json")])
     assert info.value.code == 2
