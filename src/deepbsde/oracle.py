@@ -14,7 +14,7 @@ from scipy.linalg.lapack import dgttrf as gttrf, dgttrs as gttrs
 
 from .errors import ConfigError, NumericError
 from .problems import with_point_start
-from .sde import simulate_paths
+from .sde import PASS_SIZE, simulate_paths
 
 _MIN_SAMPLES = 100
 
@@ -72,9 +72,10 @@ def cole_hopf_mc(lam, g, x0, horizon, n_samples, stream):
     d = x0.size
     scale = math.sqrt(2.0 * horizon)
 
-    # chunked so 1e6-sample calls stay inside a small memory budget
+    # chunks of about one draw-kernel pass: the normals and the terminal
+    # points stay in cache, and no full-size temporary is ever made
     exponents = np.empty(n_samples, dtype=np.float64)
-    chunk = 200_000
+    chunk = max(1, PASS_SIZE // d)
     for lo in range(0, n_samples, chunk):
         hi = min(lo + chunk, n_samples)
         z = stream.normals((hi - lo) * d).reshape(hi - lo, d)

@@ -11,6 +11,8 @@ Conventions shared across the library:
     or full) and applied through Diffusion so the structure is explicit
 """
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -260,9 +262,22 @@ def _allen_cahn(d, T, xi):
 _COMMON_KEYS = ("T", "xi_mode", "xi0", "box_low", "box_high")
 
 
+def _number(value, key):
+    """float(value) for a finite real number; a boolean, a string, a NaN, an
+    infinity or anything else is a ConfigError naming the key."""
+    number = isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+    if not number or not math.isfinite(value):
+        raise ConfigError(f"override '{key}' must be a finite number, got {value!r}")
+    return float(value)
+
+
 def as_vector(value, d, key):
-    """[d] float array from a scalar or a 1- or d-entry sequence (one broadcasts)."""
-    arr = np.asarray(value, dtype=np.float64).reshape(-1)
+    """[d] float array from a number or a 1- or d-entry sequence of numbers
+    (one broadcasts); anything else is a ConfigError naming the key."""
+    items = value.reshape(-1).tolist() if isinstance(value, np.ndarray) else value
+    if not isinstance(items, (list, tuple)):
+        items = [items]
+    arr = np.array([_number(v, key) for v in items], dtype=np.float64)
     if arr.size == 1:
         return np.full(d, arr[0])
     if arr.size != d:
@@ -301,12 +316,12 @@ def get_problem(name, d, overrides=None):
         raise ConfigError(
             f"unknown override keys {unknown} for '{name}' (accepted: {sorted(allowed)})"
         )
-    T = float(overrides.get("T", 1.0))
+    T = _number(overrides.get("T", 1.0), "T")
     xi = _build_xi(d, overrides)
     if name == "heat":
         return _heat(d, T, xi)
     if name == "hjb":
-        lam = float(overrides.get("lambda", 1.0))
+        lam = _number(overrides.get("lambda", 1.0), "lambda")
         if lam <= 0.0:
             raise ConfigError(f"override 'lambda' must be positive, got {lam}")
         return _hjb(d, T, lam, xi)

@@ -8,20 +8,28 @@ carries the reproducibility guarantees of the whole library.
 
 Normals come from Box-Muller pairs over uniforms mapped into (0, 1] (so the
 log never sees zero), with a carry slot for the odd draw.
+
+One kernel, `_draw`, makes every uniform and normal in the package. It works
+in passes of PASS_SIZE values over a few buffers allocated once per call, so
+the mixing, the float conversion and Box-Muller run in place on cache-sized
+blocks instead of streaming full-length temporaries through memory.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, ShapeError
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MULT1 = 0xBF58476D1CE4E5B9
 _MULT2 = 0x94D049BB133111EB
 _INV_2_64 = 2.0 ** -64
+_TWO_PI = 2.0 * np.pi
+
+# values per pass of the draw kernel; its buffers then take about 1 MB
+PASS_SIZE = 1 << 15
 
 
 def _mix64(z):
@@ -32,25 +40,88 @@ def _mix64(z):
     return z ^ (z >> 31)
 
 
-def _mix64_array(z):
-    # numpy uint64 arithmetic wraps mod 2**64, matching the python-int path
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(_MULT1)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(_MULT2)
-    return z ^ (z >> np.uint64(31))
-
-
-def _to_unit(z):
-    # maps uint64 outputs into (0, 1]; zero lands on 2**-64, never on 0
-    return (z.astype(np.float64) + 1.0) * _INV_2_64
+def _mix64_inplace(z, tmp):
+    """splitmix64 finalizer on a uint64 array, in place; tmp is scratch of
+    the same shape. numpy uint64 arithmetic wraps mod 2**64 like _mix64."""
+    np.right_shift(z, np.uint64(30), out=tmp)
+    z ^= tmp
+    z *= np.uint64(_MULT1)
+    np.right_shift(z, np.uint64(27), out=tmp)
+    z ^= tmp
+    z *= np.uint64(_MULT2)
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
 
 
 def box_muller_pair(u1, u2):
     """Two uniforms in (0, 1] -> a pair of independent standard normals."""
     r = np.sqrt(-2.0 * np.log(u1))
-    ang = (2.0 * np.pi) * u2
+    ang = _TWO_PI * u2
     return r * np.cos(ang), r * np.sin(ang)
+
+
+def _draw(states, first, out, normal):
+    """Fill out[r, j] from the stream whose seed state is states[r].
+
+    Uniforms: out[r, j] is uniform number first + j + 1 of that stream, in
+    (0, 1]. Normals: out[r, j] is normal j of the Box-Muller pairs over the
+    uniforms from number first + 1 on (pair p reads uniforms 2p and 2p + 1
+    past `first`). The work goes in passes of at most PASS_SIZE values: a
+    pass is a block of whole rows when a row is narrower than a pass, or a
+    run of columns of one row when it is wider. The operations and their
+    operand order are those of box_muller_pair, so every value is the same
+    bit for bit however the output is cut.
+    """
+    rows, n = out.shape
+    if out.size == 0:
+        return
+    width = n + (n & 1) if normal else n  # normals come in whole pairs
+    cols = min(width, PASS_SIZE)
+    per = min(rows, PASS_SIZE // cols)
+    z = np.empty(per * cols, dtype=np.uint64)
+    tmp = np.empty_like(z)
+    # GOLDEN * j mod 2**64 for the columns j of a pass
+    steps = np.arange(cols, dtype=np.uint64) * np.uint64(_GOLDEN)
+    row_keys = np.empty(per, dtype=np.uint64)
+    if normal:
+        u = np.empty(per * cols)
+        radius, ang, trig = (np.empty(per * cols // 2) for _ in range(3))
+    for c0 in range(0, width, cols):
+        cw = min(cols, width - c0)
+        # GOLDEN times the pass's first counter, formed as a masked python int
+        offset = np.uint64((_GOLDEN * (first + c0 + 1)) & _MASK)
+        for r0 in range(0, rows, per):
+            r1 = min(r0 + per, rows)
+            m = r1 - r0
+            zb = z[:m * cw].reshape(m, cw)
+            np.add(states[r0:r1], offset, out=row_keys[:m])
+            np.add(row_keys[:m, None], steps[None, :cw], out=zb)
+            _mix64_inplace(zb, tmp[:zb.size].reshape(m, cw))
+            if not normal:
+                dst = out[r0:r1, c0:c0 + cw]
+                np.copyto(dst, zb, casting="unsafe")
+                dst += 1.0
+                dst *= _INV_2_64
+                continue
+            ub = u[:zb.size].reshape(m, cw)
+            np.copyto(ub, zb, casting="unsafe")
+            ub += 1.0
+            ub *= _INV_2_64
+            rb, ab, tb = (buf[:zb.size // 2].reshape(m, cw // 2) for buf in (radius, ang, trig))
+            np.log(ub[:, 0::2], out=rb)
+            rb *= -2.0
+            np.sqrt(rb, out=rb)
+            np.multiply(ub[:, 1::2], _TWO_PI, out=ab)
+            # with n odd, the last pass's pairs go to the pass buffer first,
+            # and all but the unused partner of the last one are copied out
+            whole = c0 + cw <= n
+            dst = out[r0:r1, c0:c0 + cw] if whole else ub
+            np.cos(ab, out=tb)
+            np.multiply(rb, tb, out=dst[:, 0::2])
+            np.sin(ab, out=tb)
+            np.multiply(rb, tb, out=dst[:, 1::2])
+            if not whole:
+                out[r0:r1, c0:n] = ub[:, :n - c0]
 
 
 class RngStream:
@@ -80,10 +151,11 @@ class RngStream:
 
     def uniforms(self, n):
         """n uniforms in (0, 1]; advances the counter by n."""
-        ks = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
-        self.counter += int(n)
-        z = _mix64_array(np.uint64(self.seed_state) + np.uint64(_GOLDEN) * ks)
-        return _to_unit(z)
+        n = int(n)
+        out = np.empty(n, dtype=np.float64)
+        _draw(np.array([self.seed_state], dtype=np.uint64), self.counter, out[None, :], False)
+        self.counter += n
+        return out
 
     def uniform(self):
         return float(self.uniforms(1)[0])
@@ -92,53 +164,47 @@ class RngStream:
         """n standard normals; pairs are consumed in order with a carry slot,
         so scalar and block draws read the same sequence."""
         n = int(n)
-        out = np.empty(n, dtype=np.float64)
-        have = 0
-        if self._cached_normal is not None and n > 0:
+        have = 1 if self._cached_normal is not None and n > 0 else 0
+        pairs = (n - have + 1) // 2
+        # room for the partner of an odd last draw, which goes to the carry slot
+        out = np.empty(have + 2 * pairs, dtype=np.float64)
+        if have:
             out[0] = self._cached_normal
             self._cached_normal = None
-            have = 1
-        need = n - have
-        if need > 0:
-            pairs = (need + 1) // 2
-            u = self.uniforms(2 * pairs)
-            z0, z1 = box_muller_pair(u[0::2], u[1::2])
-            block = np.empty(2 * pairs, dtype=np.float64)
-            block[0::2] = z0
-            block[1::2] = z1
-            out[have:] = block[:need]
-            if need < 2 * pairs:
-                self._cached_normal = float(block[need])
-        return out
+        if pairs:
+            state = np.array([self.seed_state], dtype=np.uint64)
+            _draw(state, self.counter, out[None, have:], True)
+            self.counter += 2 * pairs
+            if out.size > n:
+                self._cached_normal = float(out[n])
+        return out[:n]
 
     def normal(self):
         return float(self.normals(1)[0])
 
 
-def _derived_states(stream, stage, lo, hi):
-    """Seed states of stream.derive(stage, i) for i in [lo, hi), vectorized."""
-    h1 = _mix64((stream.seed_state + _GOLDEN * (int(stage) + 1)) & _MASK)
-    ks = np.arange(lo + 1, hi + 1, dtype=np.uint64)
-    return _mix64_array(np.uint64(h1) + np.uint64(_GOLDEN) * ks)
+def _derived_states(stream, stages, lo, hi):
+    """[hi-lo, len(stages)] seed states; entry [i, k] is that of
+    stream.derive(stages[k], lo+i)."""
+    h1 = [_mix64((stream.seed_state + _GOLDEN * (int(s) + 1)) & _MASK) for s in stages]
+    z = np.arange(lo + 1, hi + 1, dtype=np.uint64)[:, None] * np.uint64(_GOLDEN)
+    z = z + np.array(h1, dtype=np.uint64)
+    _mix64_inplace(z, np.empty_like(z))
+    return z
 
 
 def block_uniforms(stream, stage, lo, hi, n):
     """[hi-lo, n] uniforms; row i holds stream.derive(stage, lo+i).uniforms(n)."""
-    states = _derived_states(stream, stage, lo, hi)
-    ks = np.arange(1, n + 1, dtype=np.uint64)
-    z = _mix64_array(states[:, None] + np.uint64(_GOLDEN) * ks[None, :])
-    return _to_unit(z)
+    out = np.empty((hi - lo, n), dtype=np.float64)
+    _draw(_derived_states(stream, [stage], lo, hi).reshape(-1), 0, out, False)
+    return out
 
 
 def block_normals(stream, stage, lo, hi, n):
     """[hi-lo, n] normals; row i holds stream.derive(stage, lo+i).normals(n)."""
-    pairs = (n + 1) // 2
-    u = block_uniforms(stream, stage, lo, hi, 2 * pairs)
-    z0, z1 = box_muller_pair(u[:, 0::2], u[:, 1::2])
-    out = np.empty((hi - lo, 2 * pairs), dtype=np.float64)
-    out[:, 0::2] = z0
-    out[:, 1::2] = z1
-    return out[:, :n]
+    out = np.empty((hi - lo, n), dtype=np.float64)
+    _draw(_derived_states(stream, [stage], lo, hi).reshape(-1), 0, out, True)
+    return out
 
 
 @dataclass(frozen=True)
@@ -219,16 +285,29 @@ def euler_step(problem, t, x, dt, dw):
 
 
 def _simulate_chunk(problem, grid, stream, lo, hi, states, increments):
+    """Fill rows [lo, hi) of states and of the C-contiguous increments:
+    every step's increments drawn at once, then the Euler recursion.
+
+    Sample i's step-n increments come from the sub-stream (n+1, i). The
+    draw goes straight into increments, for blocks of samples whose seed
+    states (one per sample and step) fill about one kernel pass, so a
+    large batch never holds a full-size seed array.
+    """
+    if not increments.flags.c_contiguous:
+        raise ShapeError("increments must be C-contiguous: the draw writes into it in place")
     states[lo:hi, 0, :] = problem.xi.sample_block(stream, lo, hi)
-    d = problem.d
+    steps = range(1, grid.num_steps + 1)
+    block = max(1, PASS_SIZE // grid.num_steps)
+    for a in range(lo, hi, block):
+        b = min(a + block, hi)
+        seeds = _derived_states(stream, steps, a, b)
+        _draw(seeds.reshape(-1), 0, increments[a:b].reshape(-1, problem.d), True)
+    dw = increments[lo:hi]
+    dw *= np.sqrt(np.diff(grid.times))[:, None]
     for n in range(grid.num_steps):
-        dtn = grid.dt(n)
-        z = block_normals(stream, n + 1, lo, hi, d)
-        dw = z * math.sqrt(dtn)
-        increments[lo:hi, n, :] = dw
         try:
             states[lo:hi, n + 1, :] = euler_step(
-                problem, float(grid.times[n]), states[lo:hi, n, :], dtn, dw
+                problem, float(grid.times[n]), states[lo:hi, n, :], grid.dt(n), dw[:, n, :]
             )
         except NumericError as e:
             raise NumericError(f"step {n}, samples [{lo}, {hi}): {e}") from e

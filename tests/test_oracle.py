@@ -125,6 +125,17 @@ def test_cole_hopf_validation():
         cole_hopf_mc(1.0, g, np.zeros(1), -1.0, 1000, RngStream(0))
 
 
+def test_monte_carlo_values_pinned():
+    # computed at commit 8704065, before every draw went through the
+    # pass-based kernel and before cole_hopf_mc drew in pass-sized chunks
+    hjb = get_problem("hjb", 100)
+    est = cole_hopf_mc(1.0, hjb.g, np.zeros(100), hjb.T, 100_000, RngStream(8))
+    assert (est.value, est.stderr) == (4.590284645563115, 0.0004545670762095678)
+    heat = get_problem("heat", 1)
+    est = mc_feynman_kac(heat, np.zeros(1), 10_000, make_uniform_grid(heat.T, 10), RngStream(6))
+    assert (est.value, est.stderr) == (2.0166845235506092, 0.028234440449486784)
+
+
 # -- 1-D finite differences ---------------------------------------------------
 
 def test_fd_linear_terminal_is_exact():

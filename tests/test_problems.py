@@ -190,6 +190,31 @@ def test_lambda_only_valid_for_hjb():
         get_problem("hjb", 2, {"lambda": -1.0})
 
 
+@pytest.mark.parametrize("name, overrides, key", [
+    ("heat", {"T": "abc"}, "T"),
+    ("heat", {"T": True}, "T"),
+    ("heat", {"T": None}, "T"),
+    ("heat", {"T": float("nan")}, "T"),
+    ("hjb", {"lambda": float("inf")}, "lambda"),
+    ("heat", {"xi0": [float("-inf"), 0.0]}, "xi0"),
+    ("hjb", {"lambda": "1.0"}, "lambda"),
+    ("hjb", {"lambda": False}, "lambda"),
+    ("heat", {"xi0": ["x", 1]}, "xi0"),
+    ("heat", {"xi0": [True, 1.0]}, "xi0"),
+    ("heat", {"xi_mode": "box", "box_low": "-1"}, "box_low"),
+    ("heat", {"xi_mode": "box", "box_high": [1.0, np.True_]}, "box_high"),
+])
+def test_get_problem_rejects_non_numeric_settings(name, overrides, key):
+    with pytest.raises(ConfigError, match=f"'{key}' must be a finite number"):
+        get_problem(name, 2, overrides)
+
+
+def test_get_problem_accepts_numpy_numbers():
+    p = get_problem("heat", 2, {"T": np.float64(0.5), "xi0": np.array([1, 2])})
+    assert p.T == 0.5
+    assert np.array_equal(p.xi.point, [1.0, 2.0])
+
+
 def test_dimension_validated():
     with pytest.raises(ConfigError):
         get_problem("heat", 0)

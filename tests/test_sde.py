@@ -1,13 +1,19 @@
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
 from deepbsde.errors import ConfigError, NumericError, ShapeError
-from deepbsde.problems import Diffusion, ProblemSpec, XiSampler
+from deepbsde.problems import Diffusion, ProblemSpec, XiSampler, get_problem
 from deepbsde.sde import (
+    PASS_SIZE,
     RngStream,
     TimeGrid,
+    _draw,
     _simulate_chunk,
     block_normals,
+    block_uniforms,
     box_muller_pair,
     euler_step,
     make_uniform_grid,
@@ -96,6 +102,113 @@ def test_block_normals_rows_match_derived_streams():
     for i in range(6):
         row = root.derive(4, 10 + i).normals(12)
         assert np.array_equal(block[i], row)
+
+
+# -- pinned bytes ---------------------------------------------------------------
+# Expected values were computed at commit 8704065, before every draw went
+# through the pass-based kernel `_draw`: each digest is the first 16 hex
+# digits of the sha256 of the float64 bytes. The sizes straddle the kernel's
+# pass of 2**15 values.
+
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()[:16]
+
+
+# n: (digest of RngStream(2024).normals(n), of RngStream(2024).uniforms(n))
+STREAM_PINS = {
+    1: ("d3bb2e42cb034475", "d8620b970da94feb"),
+    2: ("f2b4079d9e4a0f14", "09f3eaa5c3e93dd5"),
+    32767: ("211d7f4ef6510a78", "3445d46cd7ef2644"),
+    32768: ("09f5bd6a322235e4", "60773a63ee2dee85"),
+    32769: ("e6c7a778f09dece9", "04bb8cc44b39ce42"),
+    1_000_001: ("7ed51b14d17490e3", "843fc37a4adab32c"),
+}
+
+# (lo, hi, n): (digest of block_normals(RngStream(77), 4, lo, hi, n), of block_uniforms)
+BLOCK_PINS = {
+    (10, 16, 7): ("29fc4b265a2a3674", "1db0a865089e4e5f"),
+    (5, 7, 32771): ("0058208140bd050f", "2f8ccd269ae81016"),
+    (0, 3, 65538): ("d7fc0fd277ebf462", "dd247ba973b0238e"),
+}
+
+# (problem, d, batch, N, overrides): (digest of states, of increments), seed 31
+SIMULATE_PINS = {
+    ("hjb", 100, 64, 20, ()): ("a9e4330096324933", "756de2d600a28981"),
+    ("allen_cahn", 1, 256, 40, ()): ("c1a936ff262de7d3", "6595e3104362a26f"),
+    ("heat", 2, 33, 5, (("xi_mode", "box"),)): ("990ff77cb9b77e7c", "ff5eed9b3604091a"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(STREAM_PINS))
+def test_stream_draws_pinned(n):
+    normals, uniforms = STREAM_PINS[n]
+    assert _digest(RngStream(2024).normals(n)) == normals
+    assert _digest(RngStream(2024).uniforms(n)) == uniforms
+
+
+@pytest.mark.parametrize("lo, hi, n", sorted(BLOCK_PINS))
+def test_block_draws_pinned(lo, hi, n):
+    normals, uniforms = BLOCK_PINS[(lo, hi, n)]
+    assert _digest(block_normals(RngStream(77), 4, lo, hi, n)) == normals
+    assert _digest(block_uniforms(RngStream(77), 4, lo, hi, n)) == uniforms
+
+
+@pytest.mark.parametrize("key", sorted(SIMULATE_PINS))
+def test_simulated_paths_pinned(key):
+    name, d, batch, steps, overrides = key
+    p = get_problem(name, d, dict(overrides))
+    paths, incs = simulate_paths(p, make_uniform_grid(p.T, steps), batch, RngStream(31))
+    assert (_digest(paths.states), _digest(incs.increments)) == SIMULATE_PINS[key]
+
+
+def test_normals_split_across_a_pass_boundary():
+    s = RngStream(123)
+    parts = np.concatenate([s.normals(PASS_SIZE - 1), s.normals(3)])
+    assert np.array_equal(parts, RngStream(123).normals(PASS_SIZE + 2))
+    assert _digest(parts) == "808b24f6c5ebf445"
+
+
+@pytest.mark.parametrize("first", [0, 5])
+def test_draw_kernel_matches_scalar_reference(first):
+    # reference: the python-int splitmix64 outputs, mapped into (0, 1] and
+    # paired through box_muller_pair; two rows, each wider than one pass
+    n = PASS_SIZE + 3
+    seeds = [11, 2 ** 64 - 1]
+    want_u = np.empty((2, n + 1))
+    for r, seed in enumerate(seeds):
+        s = RngStream(seed)
+        s.counter = first
+        want_u[r] = [(float(s.next_u64()) + 1.0) * 2.0 ** -64 for _ in range(n + 1)]
+    z0, z1 = box_muller_pair(want_u[:, 0::2], want_u[:, 1::2])
+    want_z = np.stack([z0, z1], axis=-1).reshape(2, n + 1)
+    states = np.array(seeds, dtype=np.uint64)
+    got_u = np.empty((2, n))
+    got_z = np.empty((2, n))
+    _draw(states, first, got_u, False)
+    _draw(states, first, got_z, True)
+    assert np.array_equal(got_u, want_u[:, :n])
+    assert np.array_equal(got_z, want_z[:, :n])
+
+
+def test_draws_raise_no_numpy_warnings():
+    # counters near 2**64 wrap; every offset must wrap silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = RngStream(2 ** 64 - 3)
+        u = s.uniforms(3 * PASS_SIZE + 5)
+        z = s.normals(3 * PASS_SIZE + 5)
+        b = block_normals(s, 2 ** 40, 2 ** 63, 2 ** 63 + 3, 2 * PASS_SIZE + 1)
+        p = _free_problem(2, Diffusion.scalar(1.0))
+        simulate_paths(p, make_uniform_grid(1.0, 3), 5, s.derive(2 ** 62))
+    assert np.all((u > 0.0) & (u <= 1.0))
+    assert np.all(np.isfinite(z)) and np.all(np.isfinite(b))
+
+
+def test_block_normals_odd_width_wider_than_a_pass_match_streams():
+    root = RngStream(3)
+    block = block_normals(root, 2, 0, 2, PASS_SIZE + 1)
+    for i in range(2):
+        assert np.array_equal(block[i], root.derive(2, i).normals(PASS_SIZE + 1))
 
 
 # -- time grid ----------------------------------------------------------------
@@ -261,3 +374,12 @@ def test_simulation_rejects_empty_batch():
     p = _free_problem(1, Diffusion.scalar(1.0))
     with pytest.raises((ConfigError, ShapeError)):
         simulate_paths(p, make_uniform_grid(1.0, 2), 0, RngStream(1))
+
+
+def test_simulation_chunk_needs_contiguous_increments():
+    p = _free_problem(2, Diffusion.scalar(1.0))
+    grid = make_uniform_grid(1.0, 3)
+    states = np.empty((4, 4, 2))
+    incs = np.empty((4, 2, 3)).transpose(0, 2, 1)
+    with pytest.raises(ShapeError):
+        _simulate_chunk(p, grid, RngStream(1), 0, 4, states, incs)

@@ -541,6 +541,17 @@ def test_cli_eval_non_finite_archive_exits_2(tmp_path, capsys):
         assert re.search(message, capsys.readouterr().err), kind
 
 
+@pytest.mark.parametrize("setting", [{"T": "abc"}, {"T": True}, {"T": float("inf")},
+                                     {"xi0": ["x", 1]}])
+def test_cli_eval_non_numeric_problem_setting_exits_2(tmp_path, capsys, setting):
+    path = tmp_path / "params.json"
+    save_params(_fresh_bank("deterministic_xi"), {"problem": "heat", **setting}, path)
+    code = main(["eval", "--params", str(path), "--problem", "heat"])
+    assert code == 2
+    key = next(iter(setting))
+    assert re.search(f"'{key}' must be a finite number", capsys.readouterr().err)
+
+
 def test_module_entry_point_subprocess(tmp_path):
     """python -m deepbsde behaves like the installed console script.
 
