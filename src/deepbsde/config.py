@@ -4,8 +4,10 @@ Files are UTF-8 text, one option per line, `#` starts a comment, list
 values are comma separated. Every key is checked against the schema below;
 unknown keys are rejected with the accepted list so typos fail loudly.
 
-The problem settings are checked by building the problem with `get_problem`,
-so a wrong-length xi0 or box bound fails at parse time.
+The problem settings, the learning-rate schedule and the network shape are
+checked by building them (`get_problem`, `LrSchedule`, `MLPConfig`), so a
+wrong-length xi0, a negative rate, unordered boundaries or an unknown
+activation fails at parse time.
 """
 
 from dataclasses import dataclass
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .net import SHARINGS, SubnetBank
+from .net import SHARINGS, MLPConfig, SubnetBank, default_hidden
 from .optim import LrSchedule
 from .problems import get_problem
 
@@ -82,6 +84,8 @@ class RunConfig:
         if self.lam <= 0.0:
             raise ConfigError(f"'lambda' must be positive, got {self.lam}")
         self.build_problem()
+        self.schedule()
+        MLPConfig((self.d, *self.hidden_widths(), self.d), self.activation)
 
     @property
     def mode(self):
@@ -96,7 +100,7 @@ class RunConfig:
         return LrSchedule(tuple(entries))
 
     def hidden_widths(self):
-        return self.hidden if self.hidden is not None else (self.d + 10, self.d + 10)
+        return self.hidden if self.hidden is not None else default_hidden(self.d)
 
     def problem_overrides(self):
         out = {"T": self.T, "xi_mode": self.xi_mode}

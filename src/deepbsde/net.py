@@ -118,6 +118,11 @@ def mlp_backward(params, saved, grad_out):
     return grads
 
 
+def default_hidden(d):
+    """The hidden widths of every network when none are given."""
+    return (d + 10, d + 10)
+
+
 class SubnetBank:
     """All trainable state for one rollout.
 
@@ -195,7 +200,7 @@ class SubnetBank:
     def create(cls, mode, sharing, d, num_steps, hidden=None, activation="tanh", seed=0):
         """Freshly initialized bank; per-network seeds derive from `seed`."""
         if hidden is None:
-            hidden = (d + 10, d + 10)
+            hidden = default_hidden(d)
         hidden = tuple(int(w) for w in hidden)
         root = RngStream(seed)
         z_config = MLPConfig((d, *hidden, d), activation)

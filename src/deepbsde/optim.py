@@ -1,8 +1,7 @@
-"""First-order optimizers over flat float64 parameter vectors.
+"""First-order optimizers over one flat float64 parameter vector.
 
-All steps are pure functions: inputs are never mutated, new arrays come
-back. State lives in plain dataclasses so a training loop can checkpoint or
-replay it trivially.
+Every step updates its arrays in place and returns None. Adam's m and v are
+allocated once, by `AdamState.create`; that state is the optimizer's whole state.
 """
 
 from dataclasses import dataclass
@@ -13,19 +12,20 @@ from .errors import ConfigError, ShapeError
 
 
 def _check_pair(params, grads):
-    params = np.asarray(params, dtype=np.float64)
+    # a converted copy of params would take the update and lose it
+    if not isinstance(params, np.ndarray) or params.dtype != np.float64:
+        raise ShapeError(f"params must be a float64 ndarray, got {getattr(params, 'dtype', type(params))}")
     grads = np.asarray(grads, dtype=np.float64)
     if params.shape != grads.shape or params.ndim != 1:
         raise ShapeError(f"params {params.shape} and grads {grads.shape} must be equal flat vectors")
-    return params, grads
+    return grads
 
 
 def sgd_step(params, grads, lr):
-    """params - lr * grads."""
+    """params -= lr * grads."""
     if lr <= 0.0:
         raise ConfigError(f"learning rate must be positive, got {lr}")
-    params, grads = _check_pair(params, grads)
-    return params - lr * grads
+    params -= lr * _check_pair(params, grads)
 
 
 @dataclass
@@ -53,44 +53,43 @@ class AdamState:
 
 
 def adam_step(state, params, grads, lr):
-    """One bias-corrected moment update; returns (new_params, new_state)."""
+    """One bias-corrected moment update of params, state.m and state.v."""
     if lr <= 0.0:
         raise ConfigError(f"learning rate must be positive, got {lr}")
-    params, grads = _check_pair(params, grads)
+    grads = _check_pair(params, grads)
     if state.m.shape != params.shape:
         raise ShapeError(f"state sized {state.m.shape} does not match params {params.shape}")
     t = state.step_count + 1
-    # in place on four fresh arrays; every operation keeps the operand order
-    # of the textbook form, ((1 - beta2) g) g included, so the results are
-    # bitwise those of params - lr m_hat / (sqrt(v_hat) + eps)
-    m = state.m * state.beta1
-    tmp = np.multiply(grads, 1.0 - state.beta1)
-    m += tmp
-    v = state.v * state.beta2
+    # every operation keeps the operand order of the textbook form,
+    # ((1 - beta2) g) g included, so the results are bitwise those of
+    # params - lr m_hat / (sqrt(v_hat) + eps)
+    tmp = np.empty_like(params)
+    step = np.empty_like(params)
+    state.m *= state.beta1
+    np.multiply(grads, 1.0 - state.beta1, out=tmp)
+    state.m += tmp
+    state.v *= state.beta2
     np.multiply(grads, 1.0 - state.beta2, out=tmp)
     tmp *= grads
-    v += tmp
-    np.divide(v, 1.0 - state.beta2 ** t, out=tmp)
+    state.v += tmp
+    np.divide(state.v, 1.0 - state.beta2 ** t, out=tmp)
     np.sqrt(tmp, out=tmp)
     tmp += state.eps
-    new_params = m / (1.0 - state.beta1 ** t)
-    new_params *= lr
-    new_params /= tmp
-    np.subtract(params, new_params, out=new_params)
-    new_state = AdamState(m=m, v=v, step_count=t,
-                          beta1=state.beta1, beta2=state.beta2, eps=state.eps)
-    return new_params, new_state
+    np.divide(state.m, 1.0 - state.beta1 ** t, out=step)
+    step *= lr
+    step /= tmp
+    params -= step
+    state.step_count = t
 
 
 def clip_by_global_norm(grads, max_norm):
-    """Rescale so the euclidean norm is at most max_norm (no-op below it)."""
+    """Rescale grads in place so its euclidean norm is at most max_norm
+    (untouched below it); grads must be an ndarray."""
     if max_norm <= 0.0:
         raise ConfigError(f"max_norm must be positive, got {max_norm}")
-    grads = np.asarray(grads, dtype=np.float64)
     norm = float(np.linalg.norm(grads))
-    if norm <= max_norm:
-        return grads.copy()
-    return grads * (max_norm / norm)
+    if norm > max_norm:
+        grads *= max_norm / norm
 
 
 @dataclass(frozen=True)

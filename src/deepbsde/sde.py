@@ -157,9 +157,6 @@ class RngStream:
         self.counter += n
         return out
 
-    def uniform(self):
-        return float(self.uniforms(1)[0])
-
     def normals(self, n):
         """n standard normals; pairs are consumed in order with a carry slot,
         so scalar and block draws read the same sequence."""

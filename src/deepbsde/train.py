@@ -134,9 +134,15 @@ def load_archive(path):
     for key in ("mode", "sharing", "d", "num_steps", "hidden", "activation"):
         if key not in config:
             raise ConfigError(f"archive config lacks '{key}'")
+    # bool is not an integer here, and int() would truncate 2.7 or read "2"
+    for key in ("d", "num_steps"):
+        if type(config[key]) is not int:
+            raise ConfigError(f"archive config '{key}' must be an integer, got {config[key]!r}")
+    if type(config["hidden"]) is not list or any(type(w) is not int for w in config["hidden"]):
+        raise ConfigError(f"archive config 'hidden' must be a list of integers, got {config['hidden']!r}")
     bank = SubnetBank.create(
-        config["mode"], config["sharing"], int(config["d"]), int(config["num_steps"]),
-        hidden=tuple(config["hidden"]), activation=config["activation"], seed=0,
+        config["mode"], config["sharing"], config["d"], config["num_steps"],
+        hidden=config["hidden"], activation=config["activation"], seed=0,
     )
     stored = {}
     for k, entry in enumerate(doc.get("tensors", [])):
@@ -210,8 +216,7 @@ def run_train(config, clock=time.perf_counter):
     metrics_path = out_dir / "metrics.csv"
     curve_path = out_dir / "loss_curve.csv"
     for path in (metrics_path, curve_path):
-        if path.exists():
-            path.unlink()
+        path.unlink(missing_ok=True)
 
     records = []
 
@@ -233,29 +238,24 @@ def run_train(config, clock=time.perf_counter):
         backward(tape, result.loss)
         return float(result.loss.value), tape.grad
 
-    for step in range(config.iterations):
-        try:
+    try:
+        for step in range(config.iterations):
             loss_value, flat = one_batch(step)
             if config.grad_clip > 0.0:
-                flat = clip_by_global_norm(flat, config.grad_clip)
+                clip_by_global_norm(flat, config.grad_clip)
             rate = lr_at(schedule, step)
             if step % config.eval_every == 0:
                 emit(step, loss_value, float(np.linalg.norm(flat)), rate)
-            if adam is not None:
-                bank.theta[:], adam = adam_step(adam, bank.theta, flat, rate)
+            if adam is None:
+                sgd_step(bank.theta, flat, rate)
             else:
-                bank.theta[:] = sgd_step(bank.theta, flat, rate)
-        except NumericError as e:
-            raise NumericError(f"training aborted at step {step}: {e}") from e
-
-    # closing row: state after the last update, on a fresh batch
-    final_step = config.iterations
-    try:
-        loss_value, flat = one_batch(final_step)
+                adam_step(adam, bank.theta, flat, rate)
+        # closing row: state after the last update, on a fresh batch
+        step = config.iterations
+        loss_value, flat = one_batch(step)
     except NumericError as e:
-        raise NumericError(f"training aborted at step {final_step}: {e}") from e
-    final = emit(final_step, loss_value, float(np.linalg.norm(flat)),
-                 lr_at(schedule, final_step))
+        raise NumericError(f"training aborted at step {step}: {e}") from e
+    final = emit(step, loss_value, float(np.linalg.norm(flat)), lr_at(schedule, step))
 
     with open(curve_path, "w", encoding="utf-8") as fh:
         fh.write("step,loss\n")

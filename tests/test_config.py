@@ -215,6 +215,18 @@ def test_value_range_checks():
             parse_config_text(base + extra + "\n")
 
 
+def test_schedule_and_network_shape_checked_at_parse_time():
+    cases = [
+        ("lr_values = 0.01, -0.1\nlr_boundaries = 10", "rates must be positive"),
+        ("lr_values = 0.01, 0.1, 0.2\nlr_boundaries = 10, 5", "strictly increasing"),
+        ("lr_values = 0.01, 0.1\nlr_boundaries = 0", "strictly increasing"),
+        ("activation = foo", "unknown activation 'foo'"),
+    ]
+    for extra, fragment in cases:
+        with pytest.raises(ConfigError, match=fragment):
+            parse_config_text(MINIMAL + extra + "\n")
+
+
 def test_parse_config_reads_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(MINIMAL, encoding="utf-8")

@@ -13,14 +13,15 @@ from deepbsde.optim import (
 
 
 def test_sgd_example():
-    out = sgd_step(np.array([1.0, 2.0]), np.array([0.5, -1.0]), 0.1)
-    assert np.allclose(out, [0.95, 2.1], atol=1e-15)
+    params = np.array([1.0, 2.0])
+    sgd_step(params, np.array([0.5, -1.0]), 0.1)
+    assert np.allclose(params, [0.95, 2.1], atol=1e-15)
 
 
 def test_sgd_zero_gradient():
     params = np.array([3.0, -4.0])
-    out = sgd_step(params, np.zeros(2), 0.1)
-    assert np.array_equal(out, params)
+    sgd_step(params, np.zeros(2), 0.1)
+    assert np.array_equal(params, [3.0, -4.0])
 
 
 def test_sgd_rejects_nonpositive_lr():
@@ -39,9 +40,9 @@ def test_adam_first_step_is_signed_lr():
     g = np.array([0.5, -0.002, 3.0, -1e-3])
     state = AdamState.create(4)
     params = np.zeros(4)
-    new_params, state = adam_step(state, params, g, lr)
+    adam_step(state, params, g, lr)
     want = -lr * np.sign(g)
-    assert np.max(np.abs(new_params - want)) < 1e-9
+    assert np.max(np.abs(params - want)) < 1e-9
     assert state.step_count == 1
 
 
@@ -49,9 +50,8 @@ def test_adam_zero_gradient_leaves_params():
     state = AdamState.create(3)
     params = np.array([1.0, -2.0, 0.5])
     for _ in range(5):
-        params_new, state = adam_step(state, params, np.zeros(3), 1e-2)
-        assert np.array_equal(params_new, params)
-        params = params_new
+        adam_step(state, params, np.zeros(3), 1e-2)
+        assert np.array_equal(params, [1.0, -2.0, 0.5])
     assert state.step_count == 5
 
 
@@ -61,30 +61,42 @@ def test_adam_beta_zero_specialization():
     g = np.array([0.2, -0.04])
     state = AdamState.create(2, beta1=0.0, beta2=0.0, eps=eps)
     params = np.zeros(2)
-    new_params, _ = adam_step(state, params, g, lr)
+    adam_step(state, params, g, lr)
     want = -lr * g / (np.abs(g) + eps)
-    assert np.max(np.abs(new_params - want)) < 1e-15
+    assert np.max(np.abs(params - want)) < 1e-15
 
 
 def test_adam_scale_awareness():
     # difference is eps-order: lr*eps/(2|g|) stays under 1e-9 for |g| >= 1e-3
     lr = 1e-4
     g = np.array([0.8, -0.03, 0.004])
-    a, _ = adam_step(AdamState.create(3), np.zeros(3), g, lr)
-    b, _ = adam_step(AdamState.create(3), np.zeros(3), 2.0 * g, lr)
+    a, b = np.zeros(3), np.zeros(3)
+    adam_step(AdamState.create(3), a, g, lr)
+    adam_step(AdamState.create(3), b, 2.0 * g, lr)
     assert np.max(np.abs(a - b)) < 1e-9
 
 
-def test_adam_is_pure():
-    g = np.array([0.1, 0.2])
-    params = np.array([1.0, 1.0])
-    s0 = AdamState.create(2)
-    out1, s1 = adam_step(s0, params, g, 1e-2)
-    out2, s2 = adam_step(s0, params, g, 1e-2)
-    assert np.array_equal(out1, out2)
-    assert np.array_equal(s1.m, s2.m)
-    assert np.array_equal(s1.v, s2.v)
-    assert np.all(s0.m == 0.0)  # input state untouched
+def test_steps_update_their_buffers_in_place():
+    rng = np.random.default_rng(4)
+    params = rng.standard_normal(6)
+    state = AdamState.create(6)
+    buffers = (params, state.m, state.v)
+    for t in range(1, 4):
+        grads = rng.standard_normal(6)
+        read = grads.copy()
+        assert adam_step(state, params, grads, 1e-2) is None
+        assert sgd_step(params, grads, 1e-2) is None
+        assert np.array_equal(grads, read)
+        assert clip_by_global_norm(grads, 0.5) is None
+        assert np.linalg.norm(grads) == pytest.approx(0.5, abs=1e-12)
+        assert state.step_count == t
+        assert all(a is b for a, b in zip((params, state.m, state.v), buffers))
+    # a converted copy would take the update and lose it
+    for bad in ([0.0] * 6, np.zeros(6, dtype=np.float32)):
+        with pytest.raises(ShapeError):
+            adam_step(state, bad, np.zeros(6), 1e-2)
+        with pytest.raises(ShapeError):
+            sgd_step(bad, np.zeros(6), 1e-2)
 
 
 def test_adam_validation():
@@ -101,11 +113,12 @@ def test_adam_validation():
 
 def test_clip_by_global_norm():
     g = np.array([3.0, 4.0])
-    clipped = clip_by_global_norm(g, 1.0)
-    assert np.linalg.norm(clipped) == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(clipped, g / 5.0)
+    clip_by_global_norm(g, 1.0)
+    assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(g, [0.6, 0.8])
     small = np.array([0.1, 0.1])
-    assert np.array_equal(clip_by_global_norm(small, 1.0), small)
+    clip_by_global_norm(small, 1.0)
+    assert np.array_equal(small, [0.1, 0.1])
 
 
 def test_lr_schedule_examples():
@@ -143,10 +156,7 @@ def test_adam_matches_textbook_form_bitwise():
         m_hat = m / (1.0 - 0.85 ** t)
         v_hat = v / (1.0 - 0.995 ** t)
         want = want - lr * m_hat / (np.sqrt(v_hat) + 1e-7)
-        inputs = (params, g, state.m, state.v)
-        copies = [a.copy() for a in inputs]
-        params, state = adam_step(state, params, g, lr)
-        assert all(np.array_equal(a, c) for a, c in zip(inputs, copies))
+        adam_step(state, params, g, lr)
         assert np.array_equal(params, want)
         assert np.array_equal(state.m, m)
         assert np.array_equal(state.v, v)

@@ -1,5 +1,6 @@
 """Training loop artifacts, parameter archives, and the command-line surface."""
 
+import hashlib
 import json
 import os
 import re
@@ -314,6 +315,40 @@ def test_bitwise_deterministic_given_fixed_clock(tmp_path):
     assert (out_a / "loss_curve.csv").read_bytes() == (out_b / "loss_curve.csv").read_bytes()
 
 
+# config text: the first 12 hex digits of the sha256 of metrics.csv,
+# loss_curve.csv, params.json and run_summary.json under a 0.25 s clock.
+# Between them: SGD with clipping on a shared relu net over a box start,
+# Adam on a two-rate schedule, Adam on hjb from a point start.
+ARTIFACT_PINS = {
+    "problem = heat\nd = 3\nN = 10\nbatch = 32\niterations = 60\nseed = 1\n"
+    "xi_mode = box\nbox_low = -1, -0.5, 0\nsharing = shared\nactivation = relu\n"
+    "optimizer = sgd\ngrad_clip = 0.5\n":
+        ("4a11cf084857", "0743b44c577a", "76be8fb584ee", "f03b513ad440"),
+    "problem = heat\nd = 2\nN = 10\nbatch = 32\niterations = 80\nseed = 1\n"
+    "xi_mode = box\nlr_values = 0.01, 0.003\nlr_boundaries = 40\n":
+        ("6b58a48af334", "a558d312c531", "c5bfa9816920", "465c4cbf4710"),
+    "problem = hjb\nd = 3\nN = 10\nbatch = 32\niterations = 60\nseed = 1\n"
+    "lambda = 2.5\nT = 0.5\nxi0 = 0.1, 0.2, 0.3\n":
+        ("daf4fd8697a6", "6ec1eb809c0c", "e8757ce422c7", "3a2b73bdc9ee"),
+}
+
+
+@pytest.mark.parametrize("text", list(ARTIFACT_PINS), ids=["sgd_clip", "adam_schedule", "hjb"])
+def test_training_artifacts_keep_their_bytes(tmp_path, text):
+    state = {"t": 0.0}
+
+    def clock():
+        state["t"] += 0.25
+        return state["t"]
+
+    run_train(_config(text, output_dir=str(tmp_path)), clock=clock)
+    digests = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:12]
+        for name in ("metrics.csv", "loss_curve.csv", "params.json", "run_summary.json")
+    )
+    assert digests == ARTIFACT_PINS[text]
+
+
 def test_archive_deterministic_even_with_real_clock(tmp_path):
     # timing noise may move elapsed_s, but parameters depend only on (config, seed)
     out_a = tmp_path / "a"
@@ -541,7 +576,23 @@ def test_cli_eval_non_finite_archive_exits_2(tmp_path, capsys):
         assert re.search(message, capsys.readouterr().err), kind
 
 
-@pytest.mark.parametrize("setting", [{"T": "abc"}, {"T": True}, {"T": float("inf")},
+def test_cli_eval_bad_architecture_field_exits_2(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads((out / "params.json").read_text())
+    # 2.7 once loaded as d = 2; the others failed with exit code 1
+    for key, value in [("d", "x"), ("d", 2.7), ("d", True), ("hidden", 5),
+                       ("hidden", "ab"), ("hidden", [12, 12.0]), ("num_steps", None)]:
+        damaged = tmp_path / "damaged.json"
+        damaged.write_text(json.dumps({**doc, "config": {**doc["config"], key: value}}))
+        code = main(["eval", "--params", str(damaged), "--problem", "heat"])
+        assert code == 2, (key, value)
+        assert f"archive config '{key}' must be" in capsys.readouterr().err, (key, value)
+
+
+@pytest.mark.parametrize("setting",[{"T": "abc"}, {"T": True}, {"T": float("inf")},
                                      {"xi0": ["x", 1]}])
 def test_cli_eval_non_numeric_problem_setting_exits_2(tmp_path, capsys, setting):
     path = tmp_path / "params.json"
