@@ -7,7 +7,9 @@ unknown keys are rejected with the accepted list so typos fail loudly.
 The problem settings, the learning-rate schedule and the network shape are
 checked by building them (`get_problem`, `LrSchedule`, `MLPConfig`), so a
 wrong-length xi0, a negative rate, unordered boundaries or an unknown
-activation fails at parse time.
+activation fails at parse time. So does a key that would change nothing:
+a start-law key the chosen xi_mode ignores, lambda for a problem other than
+hjb, or lr next to lr_values.
 """
 
 from dataclasses import dataclass
@@ -80,9 +82,6 @@ class RunConfig:
                 )
         if self.hidden is not None and any(w < 1 for w in self.hidden):
             raise ConfigError(f"'hidden' widths must be positive, got {self.hidden}")
-        # get_problem sees lambda only for hjb
-        if self.lam <= 0.0:
-            raise ConfigError(f"'lambda' must be positive, got {self.lam}")
         self.build_problem()
         self.schedule()
         MLPConfig((self.d, *self.hidden_widths(), self.d), self.activation)
@@ -208,7 +207,20 @@ def parse_config_text(text, source="<config>"):
     missing = [key for key in _REQUIRED if key not in fields]
     if missing:
         raise ConfigError(f"{source}: missing required keys: {', '.join(missing)}")
-    return RunConfig(**fields)
+    config = RunConfig(**fields)
+    # a key the file sets must reach the run: the start law and lambda reach
+    # it only through problem_overrides, and lr_values replace lr
+    reaching = config.problem_overrides()
+    for key in ("xi0", "box_low", "box_high", "lambda"):
+        target = _SCHEMA[key][0]
+        if target in fields and key not in reaching:
+            raise ConfigError(
+                f"{source}:{seen[target]}: '{key}' has no effect with problem = "
+                f"{config.problem} and xi_mode = {config.xi_mode}"
+            )
+    if "lr" in fields and "lr_values" in fields:
+        raise ConfigError(f"{source}:{seen['lr']}: 'lr' has no effect when 'lr_values' is given")
+    return config
 
 
 def parse_config(path):

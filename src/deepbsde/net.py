@@ -14,7 +14,7 @@ vectors always line up:
     within a network layer by layer, weight before bias, rows major.
 """
 
-import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,53 +124,57 @@ def default_hidden(d):
 
 
 class SubnetBank:
-    """All trainable state for one rollout.
+    """All trainable state for one rollout, built from its architecture.
+
+    The six constructor arguments (mode, sharing, d, num_steps, hidden and
+    activation) fix the name and shape of every tensor; they are also what
+    an archive stores as the bank's fingerprint. The constructor allocates
+    the flat vector `theta` once, zero-filled, and binds every tensor of the
+    bank (`y0` a 0-d one) as a view into it, so writing `theta` moves the
+    networks. `create` writes Xavier draws into those views; loading an
+    archive writes the stored values instead and draws nothing.
 
     general_xi mode: `y0_net` maps the random start to the initial value and
     `z_nets` holds one gradient network per step (a single entry if shared).
     deterministic_xi mode: the start is one fixed point, so the initial value
     is the plain scalar `y0`, the step-0 gradient is the plain vector `z0`,
     and `z_nets` covers steps 1..N-1 only.
-
-    The given tensors are copied into the flat vector `theta`; afterwards
-    every tensor of the bank (`y0` a 0-d one) is a view into it, so writing
-    `theta` moves the networks.
     """
 
-    def __init__(self, mode, sharing, d, num_steps, y0_net=None, y0=None, z0=None, z_nets=()):
-        self.mode, self.sharing, self.d, self.num_steps = mode, sharing, d, num_steps
-        self.y0_net, self.z_nets = y0_net, list(z_nets)
+    def __init__(self, mode, sharing, d, num_steps, hidden=None, activation="tanh"):
         if mode not in MODES:
             raise ConfigError(f"unknown mode '{mode}' (expected one of {MODES})")
         if sharing not in SHARINGS:
             raise ConfigError(f"unknown sharing '{sharing}' (expected one of {SHARINGS})")
         if d < 1 or num_steps < 1:
             raise ConfigError(f"need d >= 1 and num_steps >= 1, got d={d}, num_steps={num_steps}")
+        self.mode, self.sharing, self.d, self.num_steps = mode, sharing, d, num_steps
+        self.hidden = tuple(int(w) for w in (default_hidden(d) if hidden is None else hidden))
+        self.activation = activation
+        z_config = MLPConfig((d, *self.hidden, d), activation)
         if mode == "general_xi":
-            if y0_net is None or y0 is not None or z0 is not None:
-                raise ConfigError("general_xi banks carry an initial-value network only")
-            head = _mlp_items("psi0", y0_net)
+            y0_config = MLPConfig((d, *self.hidden, 1), activation)
+            head, first = _layer_specs("psi0", y0_config), 0
         else:
-            if y0_net is not None or y0 is None or z0 is None:
-                raise ConfigError("deterministic_xi banks carry plain y0 and z0 only")
-            if np.shape(z0) != (d,):
-                raise ShapeError(f"z0 must have shape ({d},), got {np.shape(z0)}")
-            head = [("y0", np.array([y0], dtype=np.float64)), ("z0", z0)]
-        expected = self.expected_z_net_count(mode, sharing, num_steps)
-        if len(self.z_nets) != expected:
-            raise ConfigError(
-                f"{mode}/{sharing} with {num_steps} steps needs "
-                f"{expected} gradient networks, got {len(self.z_nets)}"
-            )
-        first = 0 if mode == "general_xi" else 1
-        labels = ["phi_shared" if sharing == "shared" else f"phi_{first + k}" for k in range(expected)]
-        groups = [head] + [_mlp_items(label, net) for label, net in zip(labels, self.z_nets)]
-        arrays = [np.asarray(arr, dtype=np.float64) for items in groups for _, arr in items]
-        ends = np.cumsum([arr.size for arr in arrays]).tolist()
-        specs = iter(zip([0] + ends, ends, [arr.shape for arr in arrays]))
+            head, first = [("y0", (1,)), ("z0", (d,))], 1
+        networked_steps = num_steps - first
+        count = min(networked_steps, 1) if sharing == "shared" else networked_steps
+        labels = ["phi_shared" if sharing == "shared" else f"phi_{first + k}" for k in range(count)]
+        groups = [head] + [_layer_specs(label, z_config) for label in labels]
+        shapes = [shape for items in groups for _, shape in items]
+        ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
+        specs = iter(zip([0] + ends, ends, shapes))
         self._layout = [[next(specs) for _ in items] for items in groups]
-        self._names = [name for items in groups for name, _ in items]
-        self._bind(np.concatenate([arr.ravel() for arr in arrays]))
+        self.theta = np.zeros(ends[-1], dtype=np.float64)
+        head_views, net_views = self.views(self.theta)
+        self.y0_net = None
+        if mode == "general_xi":
+            self.y0_net = MLPParams(y0_config, head_views[0::2], head_views[1::2])
+        else:
+            self.y0, self.z0 = head_views[0].reshape(()), head_views[1]
+        self.z_nets = [MLPParams(z_config, v[0::2], v[1::2]) for v in net_views]
+        names = [name for items in groups for name, _ in items]
+        self._items = list(zip(names, head_views + [a for v in net_views for a in v]))
 
     def views(self, vec):
         """(head, nets): views of the flat `vec` shaped like the tensors of
@@ -179,41 +183,19 @@ class SubnetBank:
                        for specs in self._layout]
         return head, nets
 
-    def _bind(self, theta):
-        self.theta = theta
-        head, nets = self.views(theta)
-        if self.mode == "general_xi":
-            self.y0_net = MLPParams(self.y0_net.config, head[0::2], head[1::2])
-        else:
-            self.y0, self.z0 = head[0].reshape(()), head[1]
-        self.z_nets = [MLPParams(net.config, v[0::2], v[1::2]) for net, v in zip(self.z_nets, nets)]
-        self._items = list(zip(self._names, head + [a for v in nets for a in v]))
-
-    @staticmethod
-    def expected_z_net_count(mode, sharing, num_steps):
-        networked_steps = num_steps if mode == "general_xi" else num_steps - 1
-        if networked_steps == 0:
-            return 0
-        return 1 if sharing == "shared" else networked_steps
-
     @classmethod
     def create(cls, mode, sharing, d, num_steps, hidden=None, activation="tanh", seed=0):
-        """Freshly initialized bank; per-network seeds derive from `seed`."""
-        if hidden is None:
-            hidden = default_hidden(d)
-        hidden = tuple(int(w) for w in hidden)
+        """Freshly initialized bank: the initial-value network draws from
+        stream (seed->0), gradient network k from (seed->k+1); a plain y0
+        and z0 start at zero."""
+        bank = cls(mode, sharing, d, num_steps, hidden, activation)
         root = RngStream(seed)
-        z_config = MLPConfig((d, *hidden, d), activation)
-        count = cls.expected_z_net_count(mode, sharing, num_steps)
-        z_nets = [init_params(z_config, root.derive(k + 1).seed_state) for k in range(count)]
-        if mode == "general_xi":
-            y0_config = MLPConfig((d, *hidden, 1), activation)
-            y0_net = init_params(y0_config, root.derive(0).seed_state)
-            return cls(mode, sharing, d, num_steps, y0_net=y0_net, z_nets=z_nets)
-        return cls(
-            mode, sharing, d, num_steps,
-            y0=0.0, z0=np.zeros(d, dtype=np.float64), z_nets=z_nets,
-        )
+        for k, net in enumerate([bank.y0_net, *bank.z_nets]):
+            if net is not None:
+                drawn = init_params(net.config, root.derive(k).seed_state)
+                for view, values in zip(net.weights + net.biases, drawn.weights + drawn.biases):
+                    view[...] = values
+        return bank
 
     def z_index(self, n):
         """Index into `z_nets` of the network used at step n (None when
@@ -232,12 +214,15 @@ class SubnetBank:
         return list(self._items)
 
 
-def _mlp_items(prefix, params):
-    out = []
-    for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        out.append((f"{prefix}.layer_{k}.weight", w))
-        out.append((f"{prefix}.layer_{k}.bias", b))
-    return out
+def _layer_specs(prefix, config):
+    """(name, shape) of each tensor of a network: layer by layer, weight
+    before bias."""
+    widths = config.layer_widths
+    specs = []
+    for k, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
+        specs.append((f"{prefix}.layer_{k}.weight", (fan_in, fan_out)))
+        specs.append((f"{prefix}.layer_{k}.bias", (fan_out,)))
+    return specs
 
 
 def param_count(bank):
@@ -250,13 +235,14 @@ def flatten_params(bank):
 
 
 def unflatten_params(template, vector):
-    """A bank shaped like `template` over a copy of `vector` (the inverse of
-    flatten_params); `template` is left untouched."""
+    """A bank with `template`'s architecture over a copy of `vector` (the
+    inverse of flatten_params); `template` is left untouched."""
     vector = np.asarray(vector, dtype=np.float64)
     if vector.shape != template.theta.shape:
         raise ShapeError(
             f"expected a flat vector of {template.theta.size} entries, got shape {vector.shape}"
         )
-    bank = copy.copy(template)
-    bank._bind(vector.copy())
+    bank = SubnetBank(template.mode, template.sharing, template.d, template.num_steps,
+                      template.hidden, template.activation)
+    bank.theta[...] = vector
     return bank

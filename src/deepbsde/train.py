@@ -7,8 +7,10 @@ row flushed on write, so an aborted run keeps everything logged so far.
 Archives are JSON: {"version": 1, "config": {...}, "tensors": [...]} with
 tensors named and ordered exactly as the bank flattens. The embedded config
 carries the architecture fingerprint; loading rejects any mismatch.
-`params.json` and `run_summary.json` are written to a temporary file and
-moved into place, so a crash never leaves a half-written one.
+`loss_curve.csv`, `params.json` and `run_summary.json` are written to a
+temporary file and moved into place, so a crash never leaves a half-written
+one; a run first removes all four artifacts of any earlier run in its
+directory, so an aborted rerun leaves only its own metrics.csv.
 
 The wall clock is injectable (`clock=`): with the default clock the
 elapsed_s column reports real seconds, with a supplied deterministic clock
@@ -78,13 +80,12 @@ def _tensor_json(name, arr):
     return '{"name": %s, "shape": [%s], "data": [%s]}' % (json.dumps(name), shape, data)
 
 
+# a bank's constructor arguments, stored in the archive as its fingerprint
+_ARCHITECTURE = ("mode", "sharing", "d", "num_steps", "hidden", "activation")
+
+
 def _fingerprint(bank):
-    net = bank.z_nets[0] if bank.z_nets else bank.y0_net
-    return {
-        "mode": bank.mode, "sharing": bank.sharing, "d": bank.d, "num_steps": bank.num_steps,
-        "hidden": list(net.config.layer_widths[1:-1]) if net else [],
-        "activation": net.config.activation if net else "tanh",
-    }
+    return {key: getattr(bank, key) for key in _ARCHITECTURE}
 
 
 def save_params(bank, config_extra, path):
@@ -131,7 +132,7 @@ def load_archive(path):
     config = doc.get("config")
     if not isinstance(config, dict):
         raise ConfigError("archive has no embedded config")
-    for key in ("mode", "sharing", "d", "num_steps", "hidden", "activation"):
+    for key in _ARCHITECTURE:
         if key not in config:
             raise ConfigError(f"archive config lacks '{key}'")
     # bool is not an integer here, and int() would truncate 2.7 or read "2"
@@ -140,10 +141,7 @@ def load_archive(path):
             raise ConfigError(f"archive config '{key}' must be an integer, got {config[key]!r}")
     if type(config["hidden"]) is not list or any(type(w) is not int for w in config["hidden"]):
         raise ConfigError(f"archive config 'hidden' must be a list of integers, got {config['hidden']!r}")
-    bank = SubnetBank.create(
-        config["mode"], config["sharing"], config["d"], config["num_steps"],
-        hidden=config["hidden"], activation=config["activation"], seed=0,
-    )
+    bank = SubnetBank(**{key: config[key] for key in _ARCHITECTURE})
     stored = {}
     for k, entry in enumerate(doc.get("tensors", [])):
         if not isinstance(entry, dict) or not {"name", "shape", "data"} <= entry.keys():
@@ -214,9 +212,9 @@ def run_train(config, clock=time.perf_counter):
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics_path = out_dir / "metrics.csv"
-    curve_path = out_dir / "loss_curve.csv"
-    for path in (metrics_path, curve_path):
-        path.unlink(missing_ok=True)
+    # a rerun that aborts must not leave the previous run's archive behind
+    for name in ("metrics.csv", "loss_curve.csv", "params.json", "run_summary.json"):
+        (out_dir / name).unlink(missing_ok=True)
 
     records = []
 
@@ -257,10 +255,8 @@ def run_train(config, clock=time.perf_counter):
         raise NumericError(f"training aborted at step {step}: {e}") from e
     final = emit(step, loss_value, float(np.linalg.norm(flat)), lr_at(schedule, step))
 
-    with open(curve_path, "w", encoding="utf-8") as fh:
-        fh.write("step,loss\n")
-        for record in records:
-            fh.write(f"{record.step},{_fmt(record.loss)}\n")
+    curve = "".join(f"{record.step},{_fmt(record.loss)}\n" for record in records)
+    _write_atomic(out_dir / "loss_curve.csv", "step,loss\n" + curve)
 
     save_params(bank, _config_echo(config), out_dir / "params.json")
     summary = {

@@ -29,8 +29,9 @@ def _one_step(y0, z0, dw, g, T=1.0, f=None, df=None):
         name="hand", d=d, T=T, mu=None, sigma=Diffusion.scalar(1.0), f=f, g=g,
         xi=XiSampler.point_mass(np.zeros(d)), exact=None, df=df,
     )
-    bank = SubnetBank("deterministic_xi", "independent", d, 1,
-                      y0=float(y0), z0=np.asarray(z0, dtype=np.float64))
+    bank = SubnetBank("deterministic_xi", "independent", d, 1)
+    bank.y0[...] = y0
+    bank.z0[...] = z0
     paths = PathBatch(np.stack([np.zeros_like(dw), dw], axis=1))
     tape = Tape()
     result = rollout_loss(tape, problem, bank, make_uniform_grid(T, 1), paths,

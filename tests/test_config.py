@@ -227,6 +227,25 @@ def test_schedule_and_network_shape_checked_at_parse_time():
             parse_config_text(MINIMAL + extra + "\n")
 
 
+@pytest.mark.parametrize("extra, key, line", [
+    ("box_low = -1, -1", "box_low", 8),
+    ("box_high = 1", "box_high", 8),
+    ("xi_mode = box\nxi0 = 0.5", "xi0", 9),
+    ("lambda = 2.0", "lambda", 8),
+    ("lr = 0.01\nlr_values = 0.01, 0.001\nlr_boundaries = 500", "lr", 8),
+], ids=["box_low", "box_high", "xi0", "lambda", "lr"])
+def test_key_that_would_change_nothing_rejected(extra, key, line):
+    # MINIMAL (seven lines) is heat from a point start, so each key would be ignored
+    with pytest.raises(ConfigError, match=rf"run\.cfg:{line}: '{key}' has no effect"):
+        parse_config_text(MINIMAL + extra + "\n", source="run.cfg")
+
+
+def test_nonpositive_lambda_rejected_by_the_problem():
+    text = MINIMAL.replace("problem = heat", "problem = hjb") + "lambda = -1.0\n"
+    with pytest.raises(ConfigError, match="'lambda' must be positive"):
+        parse_config_text(text)
+
+
 def test_parse_config_reads_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(MINIMAL, encoding="utf-8")

@@ -14,8 +14,8 @@ import pytest
 import deepbsde
 from deepbsde.cli import main
 from deepbsde.config import parse_config_text
-from deepbsde.errors import ConfigError, ShapeError
-from deepbsde.net import param_count
+from deepbsde.errors import ConfigError, NumericError, ShapeError
+from deepbsde.net import SubnetBank, param_count, unflatten_params
 from deepbsde.bsde import estimate_u0
 from deepbsde.problems import get_problem
 from deepbsde.sde import RngStream
@@ -264,6 +264,40 @@ def test_archive_rejects_missing_tensor(tmp_path):
         load_archive(path)
 
 
+def test_archive_keeps_the_architecture_of_a_bank_without_networks(tmp_path):
+    # a point start over one step has plain y0 and z0 only, yet its archive
+    # still names the hidden widths and activation it was built with
+    bank = SubnetBank.create("deterministic_xi", "independent", d=3, num_steps=1,
+                             hidden=(7, 7), activation="relu")
+    assert bank.y0_net is None and bank.z_nets == []
+    bank.y0[...] = 1.5
+    bank.z0[...] = [0.25, -0.5, 2.0]
+    path = tmp_path / "params.json"
+    save_params(bank, {}, path)
+    stored = json.loads(path.read_text())["config"]
+    assert stored["hidden"] == [7, 7] and stored["activation"] == "relu"
+    loaded, config = load_archive(path)
+    assert (loaded.hidden, loaded.activation) == ((7, 7), "relu")
+    assert config["hidden"] == [7, 7] and config["activation"] == "relu"
+    assert np.array_equal(loaded.theta, bank.theta)
+
+
+def test_loading_and_unflattening_draw_nothing(tmp_path, monkeypatch):
+    bank = _fresh_bank()
+    path = tmp_path / "params.json"
+    save_params(bank, {}, path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("init_params was called")
+
+    monkeypatch.setattr("deepbsde.net.init_params", refuse)
+    loaded, _ = load_archive(path)
+    assert np.array_equal(loaded.theta, bank.theta)
+    moved = unflatten_params(bank, bank.theta + 1.0)
+    assert np.array_equal(moved.theta, bank.theta + 1.0)
+    assert [name for name, _ in moved.tensor_items()] == [name for name, _ in bank.tensor_items()]
+
+
 # ------------------------------------------------------------------ run_train
 
 def test_zero_iterations_logs_init_state(tmp_path):
@@ -285,6 +319,7 @@ def test_zero_iterations_logs_init_state(tmp_path):
     assert summary["param_count"] == param_count(reference)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_rerun_replaces_stale_metrics(tmp_path):
     cfg = _config(TINY, output_dir=str(tmp_path / "run"))
     run_train(cfg)
@@ -293,6 +328,13 @@ def test_rerun_replaces_stale_metrics(tmp_path):
     again = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
     # same row count as a fresh run, not doubled by appending
     assert len(again) == len(first.splitlines())
+    # a rerun that aborts leaves its own metrics and none of the old artifacts
+    blowup = _config(TINY + "optimizer = sgd\nlr = 1e200\n", output_dir=str(tmp_path / "run"))
+    with pytest.raises(NumericError, match="training aborted at step"):
+        run_train(blowup)
+    assert [p.name for p in (tmp_path / "run").iterdir()] == ["metrics.csv"]
+    rows = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
+    assert rows[0] == METRICS_HEADER and rows[1].startswith("0,")
 
 
 def _fake_clock():
@@ -458,6 +500,15 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     code = main(["train", "--config", str(cfg_path)])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_config_key_without_effect_exits_2(tmp_path, capsys):
+    # lambda reaches only the hjb problem; TINY is heat
+    cfg_path = _write_config(tmp_path, TINY + "lambda = 2.0\n")
+    code = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "'lambda' has no effect" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_missing_config_exits_4(tmp_path, capsys):
