@@ -127,7 +127,10 @@ def build_parser():
     p_oracle.add_argument("--samples", type=int, default=100000)
     p_oracle.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p_oracle.add_argument("--grid", default=None, metavar="M,K,L",
-                          help="finite-difference nodes, time steps, half width")
+                          help="finite-difference nodes, coarse time steps K (the march "
+                               "runs K and 2K steps and returns 2 u_2K - u_K; default "
+                               "K = M at the default half width, more where the driver's "
+                               "stability bound needs it), half width")
     p_oracle.add_argument("--T", type=float, default=1.0)
     p_oracle.add_argument("--steps", type=int, default=20,
                           help="path time steps for the Monte Carlo route")

@@ -109,6 +109,11 @@ def fd_semilinear_1d(problem, x0, half_width=None, nodes=400, time_steps=None):
     central differences. Boundary rows impose zero second derivative
     (linear extrapolation), which keeps the interior system tridiagonal.
 
+    The explicit driver makes the march first order in time, so it runs
+    twice, with K = time_steps and then 2K steps, and returns
+    2 u_2K - u_K (Richardson extrapolation), which cancels the O(dt) term.
+    The K-step march runs first, so an error names its step.
+
     mu and sigma are evaluated once per time level: a step's new level is
     the next step's old level, at the same float time. The tridiagonal LU
     (LAPACK gttrf) is refactored only at a level whose mu or sigma values
@@ -117,8 +122,10 @@ def fd_semilinear_1d(problem, x0, half_width=None, nodes=400, time_steps=None):
     gttrs solve. A singular system or a non-finite solution raises
     NumericError naming the time step.
 
-    Defaults: L = 6 sigma sqrt(T); time_steps = ceil(4 nodes^2 sigma^2 T / L^2),
-    the documented stability margin for the explicit part.
+    Defaults: L = 6 sigma sqrt(T); K = ceil(nodes (6 sigma sqrt(T)) / L), so
+    dt shrinks with dx and K = nodes at the default L, raised where needed
+    to T max f_z^2 at the terminal level, the stability bound of a driver
+    that depends on z. info["time_steps"] is K.
     """
     if problem.d != 1:
         raise ConfigError(f"finite-difference route requires d = 1, got d = {problem.d}")
@@ -127,18 +134,50 @@ def fd_semilinear_1d(problem, x0, half_width=None, nodes=400, time_steps=None):
     x0 = float(np.asarray(x0).reshape(-1)[0])
     T = problem.T
     sigma0 = float(_scalar_sigma(problem, 0.0, np.array([x0]))[0])
-    if half_width is None:
-        half_width = 6.0 * sigma0 * math.sqrt(T)
-    half_width = float(half_width)
-    if half_width <= 0.0:
-        raise ConfigError(f"half_width must be positive, got {half_width}")
-    if time_steps is None:
-        time_steps = max(int(math.ceil(4.0 * nodes ** 2 * sigma0 ** 2 * T / half_width ** 2)), 1)
-    if time_steps < 1:
-        raise ConfigError(f"need at least one time step, got {time_steps}")
+    default_width = 6.0 * sigma0 * math.sqrt(T)
+    half_width = default_width if half_width is None else float(half_width)
+    if not (math.isfinite(half_width) and half_width > 0.0):
+        raise ConfigError(f"half_width must be positive and finite, got {half_width}")
 
     m = int(nodes)
     xs = np.linspace(x0 - half_width, x0 + half_width, m + 1)
+    if time_steps is None:
+        time_steps = max(int(math.ceil(m * (default_width / half_width))),
+                         _stable_steps(problem, xs), 1)
+    if time_steps < 1:
+        raise ConfigError(f"need at least one time step, got {time_steps}")
+    coarse = _march(problem, xs, time_steps)
+    fine = _march(problem, xs, 2 * time_steps)
+    value = float(np.interp(x0, xs, 2.0 * fine - coarse))
+    return OracleEstimate(
+        value=value, stderr=0.0,
+        info={"nodes": m, "time_steps": int(time_steps), "half_width": half_width},
+    )
+
+
+def _stable_steps(problem, xs):
+    """Fewest steps with dt max f_z^2 <= 1 at the terminal level.
+
+    Against Crank-Nicolson diffusion, the explicit driver's z-term (an
+    advection at speed f_z sigma, central differences) is von Neumann
+    stable only for dt f_z^2 <= 1, whatever dx is.
+    """
+    if problem.f is None:
+        return 0
+    T = problem.T
+    u = np.asarray(problem.g(xs[:, None]), dtype=np.float64).reshape(xs.size)
+    z = _scalar_sigma(problem, T, xs) * np.gradient(u, xs)
+    _, f_z = problem.df(T, xs[:, None], u[:, None], z[:, None])
+    bound = T * float(np.max(np.square(f_z)))
+    if not math.isfinite(bound):
+        raise NumericError("non-finite driver partial f_z at the terminal level")
+    return int(math.ceil(bound))
+
+
+def _march(problem, xs, time_steps):
+    """u(0, xs) after time_steps Crank-Nicolson steps back from g(xs)."""
+    m = xs.size - 1
+    T = problem.T
     dx = xs[1] - xs[0]
     dt = T / time_steps
     u = np.asarray(problem.g(xs[:, None]), dtype=np.float64).reshape(m + 1).copy()
@@ -206,8 +245,4 @@ def fd_semilinear_1d(problem, x0, half_width=None, nodes=400, time_steps=None):
         if not np.isfinite(u).all():
             raise NumericError(f"non-finite values at time step {j}")
 
-    value = float(np.interp(x0, xs, u))
-    return OracleEstimate(
-        value=value, stderr=0.0,
-        info={"nodes": m, "time_steps": int(time_steps), "half_width": half_width},
-    )
+    return u

@@ -142,11 +142,20 @@ def load_archive(path):
     if type(config["hidden"]) is not list or any(type(w) is not int for w in config["hidden"]):
         raise ConfigError(f"archive config 'hidden' must be a list of integers, got {config['hidden']!r}")
     bank = SubnetBank(**{key: config[key] for key in _ARCHITECTURE})
+    tensors = doc.get("tensors", [])
+    if not isinstance(tensors, list):
+        raise ConfigError(f"archive 'tensors' must be a list, got {type(tensors).__name__}")
     stored = {}
-    for k, entry in enumerate(doc.get("tensors", [])):
+    for k, entry in enumerate(tensors):
         if not isinstance(entry, dict) or not {"name", "shape", "data"} <= entry.keys():
             raise ConfigError(f"archive tensor entry {k} lacks name, shape or data")
-        stored[entry["name"]] = (entry["shape"], entry["data"])
+        name = entry["name"]
+        if not isinstance(name, str):
+            raise ConfigError(
+                f"archive tensor entry {k} name must be a string, got {type(name).__name__}")
+        if name in stored:
+            raise ConfigError(f"archive lists tensor '{name}' twice")
+        stored[name] = (entry["shape"], entry["data"])
     for name, view in bank.tensor_items():
         if name not in stored:
             raise ConfigError(f"archive lacks tensor '{name}'")

@@ -179,13 +179,13 @@ def test_fd_allen_cahn_constant_data_matches_ode():
         return v
 
     want = rk4_backward(c, 4000)
-    est = fd_semilinear_1d(p, x0=0.0, nodes=8, time_steps=200_000)
+    est = fd_semilinear_1d(p, x0=0.0, nodes=8, time_steps=1_000)
     assert abs(est.value - want) < 1e-6
 
 
 def test_fd_grid_convergence():
-    # with the default K ~ M^2 coupling both mesh widths halve together;
-    # successive changes should shrink by roughly the second-order factor 4
+    # with the default K = M coupling both mesh widths halve together, and
+    # the march is second order in each: successive changes shrink by about 4
     p = get_problem("allen_cahn", 1)
     values = [fd_semilinear_1d(p, x0=0.0, nodes=m).value for m in (100, 200, 400)]
     first = abs(values[1] - values[0])
@@ -194,12 +194,42 @@ def test_fd_grid_convergence():
     assert first / second >= 3.0
 
 
+def test_fd_extrapolated_march_is_second_order_in_time():
+    # on a fixed spatial grid, 2 u_2K - u_K cancels the O(dt) error of the
+    # explicit driver: successive changes shrink by about 4, not 2
+    p = get_problem("hjb", 1, {"lambda": 1.0})
+    values = [fd_semilinear_1d(p, x0=0.0, nodes=100, time_steps=k).value
+              for k in (25, 50, 100, 200)]
+    changes = np.diff(values)
+    ratios = changes[:-1] / changes[1:]
+    assert np.all((ratios > 3.5) & (ratios < 4.5)), ratios
+
+
+def test_fd_default_steps_keep_a_gradient_driver_stable():
+    # hjb's f_z = -lambda z makes the explicit z-term stable only for
+    # dt f_z^2 <= 1, whatever dx is; K = M alone blew up here at step 20
+    p = get_problem("hjb", 1, {"lambda": 20.0})
+    est = fd_semilinear_1d(p, x0=0.0, nodes=100)
+    assert est.info["time_steps"] > 100
+    finer = fd_semilinear_1d(p, x0=0.0, nodes=100, time_steps=2 * est.info["time_steps"])
+    assert abs(est.value - finer.value) < 1e-4
+
+
+@pytest.mark.parametrize("half_width", [float("nan"), float("inf"), -1.0, 0.0])
+def test_fd_rejects_a_bad_half_width_before_marching(half_width):
+    p = get_problem("allen_cahn", 1)
+    with pytest.raises(ConfigError, match="half_width must be positive and finite"):
+        fd_semilinear_1d(p, x0=0.0, half_width=half_width, nodes=100, time_steps=10)
+
+
 def test_fd_interpolates_at_x0():
     p = get_problem("allen_cahn", 1)
     a = fd_semilinear_1d(p, x0=0.0, nodes=300)
     b = fd_semilinear_1d(p, x0=0.01, nodes=300)
     assert abs(a.value - b.value) < 5e-3
     assert a.info["nodes"] == 300
+    # the default K is exactly the node count at the default half width
+    assert a.info["time_steps"] == 300
 
 
 def test_fd_rejects_multidimensional_problems():
@@ -235,12 +265,12 @@ def test_fd_time_dependent_drift():
 
 
 @pytest.mark.parametrize("name, params, want", [
-    ("allen_cahn", {}, "0.7540203144811713"),
-    ("hjb", {"lambda": 1.0}, "-0.08691408793737171"),
-])
+    ("allen_cahn", {}, "0.754019847431799"),
+    ("hjb", {"lambda": 1.0}, "-0.08668467383845425"),
+], ids=["allen_cahn", "hjb"])
 def test_fd_values_pinned_bitwise(name, params, want):
-    # values of the march before coefficients were cached per level and the
-    # LU reused: a change to the arithmetic of a step shows up here
+    # 2 u_2K - u_K at the default K = 100: a change to the arithmetic of a
+    # step, to the default K or to the extrapolation shows up here
     est = fd_semilinear_1d(get_problem(name, 1, params), x0=0.0, nodes=100)
     assert repr(est.value) == want
 

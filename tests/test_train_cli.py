@@ -264,6 +264,17 @@ def test_archive_rejects_missing_tensor(tmp_path):
         load_archive(path)
 
 
+def test_archive_rejects_a_tensor_listed_twice(tmp_path):
+    # a second z0 entry once replaced the first without a word
+    path = tmp_path / "params.json"
+    save_params(_fresh_bank("deterministic_xi"), {}, path)
+    blob = json.loads(path.read_text())
+    blob["tensors"].append(dict(next(t for t in blob["tensors"] if t["name"] == "z0")))
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ConfigError, match="archive lists tensor 'z0' twice"):
+        load_archive(path)
+
+
 def test_archive_keeps_the_architecture_of_a_bank_without_networks(tmp_path):
     # a point start over one step has plain y0 and z0 only, yet its archive
     # still names the hidden widths and activation it was built with
@@ -556,6 +567,16 @@ def test_cli_oracle_fd_route(tmp_path, capsys):
     assert record["stderr"] == 0.0
 
 
+@pytest.mark.parametrize("width", ["nan", "inf"])
+def test_cli_oracle_non_finite_half_width_exits_2(tmp_path, capsys, width):
+    # these once marched and exited 3 with non-finite values at time step 0
+    code = main(["oracle", "--problem", "allen_cahn", "--d", "1",
+                 "--grid", f"100,10,{width}", "--out", str(tmp_path / "o.json")])
+    assert code == 2
+    assert "half_width must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_cli_eval_round_trip(tmp_path, capsys):
     cfg_path = _write_config(tmp_path)
     out = tmp_path / "out"
@@ -641,6 +662,21 @@ def test_cli_eval_bad_architecture_field_exits_2(tmp_path, capsys):
         code = main(["eval", "--params", str(damaged), "--problem", "heat"])
         assert code == 2, (key, value)
         assert f"archive config '{key}' must be" in capsys.readouterr().err, (key, value)
+
+
+@pytest.mark.parametrize("tensors, message", [
+    (5, "archive 'tensors' must be a list, got int"),
+    (None, "archive 'tensors' must be a list, got NoneType"),
+    ([{"name": ["y0"], "shape": [], "data": [0.0]}], "entry 0 name must be a string, got list"),
+], ids=["5", "null", "list_name"])
+def test_cli_eval_malformed_tensor_list_exits_2(tmp_path, capsys, tensors, message):
+    # each of these once ended in a TypeError traceback with exit 1
+    path = tmp_path / "params.json"
+    save_params(_fresh_bank("deterministic_xi"), {"problem": "heat"}, path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), "tensors": tensors}))
+    code = main(["eval", "--params", str(path), "--problem", "heat"])
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("setting",[{"T": "abc"}, {"T": True}, {"T": float("inf")},
