@@ -6,8 +6,15 @@ s is mix64(s + k * GOLDEN). Because every draw is a pure function of
 of a batch all read the identical sequence bit for bit; that single fact
 carries the reproducibility guarantees of the whole library.
 
-Normals come from Box-Muller pairs over uniforms mapped into (0, 1] (so the
-log never sees zero), with a carry slot for the odd draw.
+Uniforms map output z to (float64(z) + 1) * 2**-64 in (0, 1], so the log
+never sees zero. Normals come from Box-Muller pairs over them, with a carry
+slot for the odd draw: radius r = sqrt(-2 ln u1) in float64 and angle
+2 pi u2 rounded to float32, whose float32 cos and sin are widened to float64
+and scaled by r. The float32 angle and trig move each normal by at most
+about 4e-7 r from the all-float64 transform (r <= 9.5); they are used
+because numpy vectorises float32 sin and cos and not the float64 ones, so a
+normal costs about a third as much. The bits of a normal therefore depend
+on the SIMD target of numpy's float32 sin and cos.
 
 One kernel, `_draw`, makes every uniform and normal in the package. It works
 in passes of PASS_SIZE values over a few buffers allocated once per call, so
@@ -26,6 +33,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MULT1 = 0xBF58476D1CE4E5B9
 _MULT2 = 0x94D049BB133111EB
 _INV_2_64 = 2.0 ** -64
+_TWO_32 = 2.0 ** 32
+_LOW_32 = np.uint64(0xFFFFFFFF)
 _TWO_PI = 2.0 * np.pi
 
 # values per pass of the draw kernel; its buffers then take about 1 MB
@@ -53,11 +62,31 @@ def _mix64_inplace(z, tmp):
     z ^= tmp
 
 
+def _as_float64(z, tmp, out):
+    """out = float64(z) for a uint64 array z, rounded once as numpy's cast
+    would be; z and tmp (uint64, z's shape) are overwritten.
+
+    numpy's uint64 -> float64 cast is not vectorised, its int64 one is. The
+    32-bit halves convert exactly through int64 views, and float(hi) * 2**32
+    is exact too, so float(hi) * 2**32 + float(lo) is z rounded once.
+    """
+    np.right_shift(z, np.uint64(32), out=tmp)
+    np.copyto(out, tmp.view(np.int64), casting="unsafe")
+    out *= _TWO_32
+    z &= _LOW_32
+    low = tmp.view(np.float64)
+    np.copyto(low, z.view(np.int64), casting="unsafe")
+    out += low
+
+
 def box_muller_pair(u1, u2):
-    """Two uniforms in (0, 1] -> a pair of independent standard normals."""
+    """Two arrays of uniforms in (0, 1] -> a pair of independent standard
+    normal arrays: (r cos a, r sin a) with r = sqrt(-2 ln u1) in float64 and
+    a = float32(2 pi u2). cos a and sin a are taken in float32 and widened,
+    so each value is within about 4e-7 r of the float64 transform."""
     r = np.sqrt(-2.0 * np.log(u1))
-    ang = _TWO_PI * u2
-    return r * np.cos(ang), r * np.sin(ang)
+    ang = (_TWO_PI * u2).astype(np.float32)
+    return r * np.cos(ang).astype(np.float64), r * np.sin(ang).astype(np.float64)
 
 
 def _draw(states, first, out, normal):
@@ -66,11 +95,14 @@ def _draw(states, first, out, normal):
     Uniforms: out[r, j] is uniform number first + j + 1 of that stream, in
     (0, 1]. Normals: out[r, j] is normal j of the Box-Muller pairs over the
     uniforms from number first + 1 on (pair p reads uniforms 2p and 2p + 1
-    past `first`). The work goes in passes of at most PASS_SIZE values: a
-    pass is a block of whole rows when a row is narrower than a pass, or a
-    run of columns of one row when it is wider. The operations and their
-    operand order are those of box_muller_pair, so every value is the same
-    bit for bit however the output is cut.
+    past `first`), made as in box_muller_pair: float64 radius, float32
+    angle, float32 cos and sin widened to float64, so each normal is within
+    about 4e-7 times its radius of the float64 transform. The work goes in
+    passes of at most PASS_SIZE values: a pass is a block of whole rows when
+    a row is narrower than a pass, or a run of columns of one row when it is
+    wider. Every operation is elementwise, with the operand order of
+    box_muller_pair, so every value is the same bit for bit however the
+    output is cut.
     """
     rows, n = out.shape
     if out.size == 0:
@@ -85,7 +117,9 @@ def _draw(states, first, out, normal):
     row_keys = np.empty(per, dtype=np.uint64)
     if normal:
         u = np.empty(per * cols)
-        radius, ang, trig = (np.empty(per * cols // 2) for _ in range(3))
+        # float64 radius and angle (then widened trig); float32 angle and trig
+        radius, wide = (np.empty(per * cols // 2) for _ in range(2))
+        ang, trig = (np.empty(per * cols // 2, dtype=np.float32) for _ in range(2))
     for c0 in range(0, width, cols):
         cw = min(cols, width - c0)
         # GOLDEN times the pass's first counter, formed as a masked python int
@@ -94,32 +128,33 @@ def _draw(states, first, out, normal):
             r1 = min(r0 + per, rows)
             m = r1 - r0
             zb = z[:m * cw].reshape(m, cw)
+            sb = tmp[:zb.size].reshape(m, cw)
             np.add(states[r0:r1], offset, out=row_keys[:m])
             np.add(row_keys[:m, None], steps[None, :cw], out=zb)
-            _mix64_inplace(zb, tmp[:zb.size].reshape(m, cw))
-            if not normal:
-                dst = out[r0:r1, c0:c0 + cw]
-                np.copyto(dst, zb, casting="unsafe")
-                dst += 1.0
-                dst *= _INV_2_64
-                continue
-            ub = u[:zb.size].reshape(m, cw)
-            np.copyto(ub, zb, casting="unsafe")
+            _mix64_inplace(zb, sb)
+            ub = out[r0:r1, c0:c0 + cw] if not normal else u[:zb.size].reshape(m, cw)
+            _as_float64(zb, sb, ub)
             ub += 1.0
             ub *= _INV_2_64
-            rb, ab, tb = (buf[:zb.size // 2].reshape(m, cw // 2) for buf in (radius, ang, trig))
+            if not normal:
+                continue
+            rb, wb, ab, tb = (buf[:zb.size // 2].reshape(m, cw // 2)
+                              for buf in (radius, wide, ang, trig))
             np.log(ub[:, 0::2], out=rb)
             rb *= -2.0
             np.sqrt(rb, out=rb)
-            np.multiply(ub[:, 1::2], _TWO_PI, out=ab)
+            np.multiply(ub[:, 1::2], _TWO_PI, out=wb)
+            np.copyto(ab, wb, casting="same_kind")
             # with n odd, the last pass's pairs go to the pass buffer first,
             # and all but the unused partner of the last one are copied out
             whole = c0 + cw <= n
             dst = out[r0:r1, c0:c0 + cw] if whole else ub
             np.cos(ab, out=tb)
-            np.multiply(rb, tb, out=dst[:, 0::2])
+            np.copyto(wb, tb)
+            np.multiply(rb, wb, out=dst[:, 0::2])
             np.sin(ab, out=tb)
-            np.multiply(rb, tb, out=dst[:, 1::2])
+            np.copyto(wb, tb)
+            np.multiply(rb, wb, out=dst[:, 1::2])
             if not whole:
                 out[r0:r1, c0:n] = ub[:, :n - c0]
 
