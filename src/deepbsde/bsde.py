@@ -257,7 +257,7 @@ def oracle_rollout_loss(problem, grid, paths, increments):
     def z_at(n, x_n, saved):
         t_n = float(grid.times[n])
         grad = np.asarray(problem.exact.grad(t_n, x_n), dtype=np.float64)
-        return problem.sigma.apply_transpose(t_n, x_n, grad)
+        return problem.sigma.apply(t_n, x_n, grad)
 
     y = _forward(problem, grid, states, incs, y0, z_at)
     return _mse(_terminal_values(problem, states[:, -1, :]) - y[:, 0])
@@ -268,10 +268,10 @@ def estimate_u0(bank, problem, n_eval, stream):
 
     In deterministic mode the head is a scalar, so the spread is exactly 0.
     """
-    if bank.mode == "deterministic_xi":
-        return float(bank.y0), 0.0
     if n_eval < 1:
         raise ConfigError(f"n_eval must be at least 1, got {n_eval}")
+    if bank.mode == "deterministic_xi":
+        return float(bank.y0), 0.0
     x = sample_xi(problem, n_eval, stream)
     vals = mlp_eval(bank.y0_net, x)[:, 0]
     return float(np.mean(vals)), float(np.std(vals))

@@ -8,6 +8,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from pathlib import Path
 
 from .config import parse_config
 from .errors import ConfigError, DeepBsdeError, NumericError
@@ -15,7 +16,7 @@ from .bsde import estimate_u0
 from .oracle import cole_hopf_mc, fd_semilinear_1d, mc_feynman_kac
 from .problems import exact_eval, get_problem, override_keys
 from .sde import RngStream, make_uniform_grid
-from .train import load_archive, run_train
+from .train import _write_atomic, load_archive, run_train
 
 
 def _parse_grid(text):
@@ -81,9 +82,7 @@ def cmd_oracle(args):
     }
     if args.problem == "hjb":
         record["lambda"] = args.lam
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_atomic(Path(args.out), json.dumps(record, sort_keys=True, indent=2) + "\n")
     print(f"wrote {args.out}")
     return 0
 

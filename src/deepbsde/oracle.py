@@ -95,9 +95,9 @@ def cole_hopf_mc(lam, g, x0, horizon, n_samples, stream):
 
 
 def _scalar_sigma(problem, t, x_nodes):
-    """Diffusion values sigma(t, x) at 1-D nodes, via the dense route."""
-    dense = problem.sigma.dense(t, x_nodes[:, None])
-    return dense[:, 0, 0]
+    """s(t, x) at 1-D nodes, one value per node."""
+    s = problem.sigma.scale(t, x_nodes[:, None]).reshape(-1)
+    return np.broadcast_to(s, x_nodes.shape)
 
 
 def fd_semilinear_1d(problem, x0, half_width=None, nodes=400, time_steps=None):

@@ -7,8 +7,8 @@ Conventions shared across the library:
     returns [batch, 1] (or a scalar); its partials df(t, x, y, z) return
     (f_y, f_z), broadcastable to [batch, 1] and [batch, d], for the rollout's
     adjoint. f = None declares the linear case f == 0 and needs no df
-  - diffusion matrices are structured (scalar multiple of identity, diagonal,
-    or full) and applied through Diffusion so the structure is explicit
+  - the diffusion is sigma(t, x) = s(t, x) I, with s a constant or one value
+    per sample; Diffusion.apply multiplies by s
 """
 
 import math
@@ -23,91 +23,28 @@ from .sde import block_uniforms
 
 BUILTIN_PROBLEMS = ("heat", "hjb", "allen_cahn")
 
-_DIFFUSION_KINDS = ("scalar", "diagonal", "full")
-
 
 @dataclass(frozen=True)
 class Diffusion:
-    """Structured diffusion coefficient sigma(t, x).
+    """Diffusion coefficient sigma(t, x) = s(t, x) I: fn returns s as a
+    constant or one value per sample ([batch] or [batch, 1])."""
 
-    kind "scalar": fn returns a scalar (or [batch]) multiplying the identity.
-    kind "diagonal": fn returns the diagonal, [d] or [batch, d].
-    kind "full": fn returns the matrix, [d, d] or [batch, d, d].
-    """
-
-    kind: str
     fn: Callable
-
-    def __post_init__(self):
-        if self.kind not in _DIFFUSION_KINDS:
-            raise ConfigError(f"unknown diffusion kind '{self.kind}' (expected one of {_DIFFUSION_KINDS})")
 
     @classmethod
     def scalar(cls, value):
         fn = value if callable(value) else (lambda t, x, _c=float(value): _c)
-        return cls("scalar", fn)
+        return cls(fn)
 
-    @classmethod
-    def diagonal(cls, value):
-        if callable(value):
-            fn = value
-        else:
-            const = np.asarray(value, dtype=np.float64)
-            fn = lambda t, x, _c=const: _c
-        return cls("diagonal", fn)
-
-    @classmethod
-    def full(cls, value):
-        if callable(value):
-            fn = value
-        else:
-            const = np.asarray(value, dtype=np.float64)
-            fn = lambda t, x, _c=const: _c
-        return cls("full", fn)
-
-    def _coeff(self, t, x):
-        return np.asarray(self.fn(t, x), dtype=np.float64)
+    def scale(self, t, x):
+        """s(t, x) as a scalar or a [batch, 1] column."""
+        s = np.asarray(self.fn(t, x), dtype=np.float64)
+        return s if s.ndim == 0 else s.reshape(-1, 1)
 
     def apply(self, t, x, v):
-        """sigma(t, x) @ v for v of shape [batch, d]."""
-        c = self._coeff(t, x)
-        if self.kind == "scalar":
-            return v * (c if c.ndim == 0 else c[:, None])
-        if self.kind == "diagonal":
-            return v * c
-        if c.ndim == 2:
-            return v @ c.T
-        return np.einsum("bij,bj->bi", c, v)
-
-    def apply_transpose(self, t, x, v):
-        """sigma(t, x)^T @ v for v of shape [batch, d]."""
-        c = self._coeff(t, x)
-        if self.kind == "scalar":
-            return v * (c if c.ndim == 0 else c[:, None])
-        if self.kind == "diagonal":
-            return v * c
-        if c.ndim == 2:
-            return v @ c
-        return np.einsum("bji,bj->bi", c, v)
-
-    def dense(self, t, x):
-        """The full [batch, d, d] matrices ([d, d] for a single point);
-        reference route for honesty checks."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            return self.dense(t, x[None, :])[0]
-        batch, d = x.shape
-        c = self._coeff(t, x)
-        eye = np.eye(d)
-        if self.kind == "scalar":
-            s = np.broadcast_to(c, (batch,)) if c.ndim <= 1 else c
-            return s[:, None, None] * eye[None, :, :]
-        if self.kind == "diagonal":
-            diag = np.broadcast_to(c, (batch, d))
-            return diag[:, :, None] * eye[None, :, :]
-        if c.ndim == 2:
-            return np.broadcast_to(c, (batch, d, d))
-        return c
+        """sigma(t, x) v = s(t, x) v for v of shape [batch, d]; s I is its
+        own transpose, so this is also sigma^T v."""
+        return v * self.scale(t, x)
 
 
 @dataclass(frozen=True)
@@ -316,6 +253,8 @@ def get_problem(name, d, overrides=None):
         raise ConfigError(
             f"unknown override keys {unknown} for '{name}' (accepted: {sorted(allowed)})"
         )
+    if d < 1:
+        raise ConfigError(f"dimension must be at least 1, got {d}")
     T = _number(overrides.get("T", 1.0), "T")
     xi = _build_xi(d, overrides)
     if name == "heat":
@@ -346,11 +285,11 @@ def exact_eval(problem, t, x):
 def pde_residual(problem, t, x, step=1e-3):
     """Finite-difference residual of the backward equation at one point.
 
-    Estimates time derivative, gradient, and Hessian of the closed-form
+    Estimates the time derivative, gradient and Laplacian of the closed-form
     solution by central differences (never touching exact.grad), assembles
-    dt_u + mu . grad + 0.5 tr(sigma sigma^T Hess) + f, and returns it. Zero
-    up to discretization error certifies that the stored solution actually
-    solves the equation. Requires step <= t <= T - step.
+    dt_u + mu . grad + 0.5 s^2 tr(Hess) + f(t, x, u, s grad) for sigma = s I,
+    and returns it. Zero up to discretization error certifies that the stored
+    solution actually solves the equation. Requires step <= t <= T - step.
     """
     if problem.exact is None:
         raise ConfigError(f"problem '{problem.name}' has no closed-form solution")
@@ -366,33 +305,22 @@ def pde_residual(problem, t, x, step=1e-3):
     dt_u = (u(t + step, x) - u(t - step, x)) / (2.0 * step)
 
     grad = np.zeros(d)
-    hess = np.zeros((d, d))
+    trace_hess = 0.0
     for i in range(d):
         ei = np.zeros(d)
         ei[i] = step
         up, dn = u(t, x + ei), u(t, x - ei)
         grad[i] = (up - dn) / (2.0 * step)
-        hess[i, i] = (up - 2.0 * u0 + dn) / step ** 2
-    for i in range(d):
-        for j in range(i + 1, d):
-            ei = np.zeros(d)
-            ej = np.zeros(d)
-            ei[i] = step
-            ej[j] = step
-            mixed = (
-                u(t, x + ei + ej) - u(t, x + ei - ej)
-                - u(t, x - ei + ej) + u(t, x - ei - ej)
-            ) / (4.0 * step ** 2)
-            hess[i, j] = hess[j, i] = mixed
+        trace_hess += (up - 2.0 * u0 + dn) / step ** 2
 
     xb = x[None, :]
     residual = dt_u
     if problem.mu is not None:
         residual += float(np.asarray(problem.mu(t, xb)).reshape(-1) @ grad)
-    sig = problem.sigma.dense(t, xb)[0]
-    residual += 0.5 * float(np.trace(sig @ sig.T @ hess))
+    s = float(problem.sigma.scale(t, xb).reshape(-1)[0])
+    residual += 0.5 * s * s * trace_hess
     if problem.f is not None:
-        z = (sig.T @ grad)[None, :]
+        z = (s * grad)[None, :]
         fval = np.asarray(problem.f(t, xb, np.array([[u0]]), z), dtype=np.float64)
         residual += float(fval.reshape(-1)[0])
     return residual

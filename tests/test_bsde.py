@@ -189,6 +189,19 @@ def test_estimate_u0_deterministic():
     assert spread == 0.0
 
 
+def test_estimate_u0_rejects_fewer_than_one_draw_in_both_modes():
+    # a point-start bank once returned its y0 with spread 0 over "0 draws"
+    cases = (
+        (SubnetBank.create("deterministic_xi", "independent", 2, 3), get_problem("heat", 2)),
+        (SubnetBank.create("general_xi", "independent", 2, 3, hidden=(4, 4), seed=0),
+         get_problem("heat", 2, {"xi_mode": "box"})),
+    )
+    for bank, p in cases:
+        for n_eval in (0, -5):
+            with pytest.raises(ConfigError, match="n_eval must be at least 1"):
+                estimate_u0(bank, p, n_eval, RngStream(0))
+
+
 def test_estimate_u0_constant_network():
     p = get_problem("heat", 2, {"xi_mode": "box"})
     bank = SubnetBank.create("general_xi", "independent", 2, 3, hidden=(4, 4), seed=0)

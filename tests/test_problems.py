@@ -154,20 +154,23 @@ def test_degenerate_box_is_point_mass():
 
 
 def test_sigma_structure_honesty():
+    # sigma = s(t, x) I: apply scales row b of v by s at row b of x
     rng = np.random.default_rng(11)
     d = 4
+    x = rng.standard_normal((6, d))
     v = rng.standard_normal((6, d))
-    mat = rng.standard_normal((d, d))
-    diag = rng.standard_normal(d)
 
-    for sigma in (Diffusion.scalar(1.7), Diffusion.diagonal(diag), Diffusion.full(mat)):
-        dense = sigma.dense(0.0, np.zeros(d))
-        got = sigma.apply(0.0, np.zeros(d), v)
-        want = v @ dense.T
-        assert np.max(np.abs(got - want)) < 1e-12
-        got_t = sigma.apply_transpose(0.0, np.zeros(d), v)
-        want_t = v @ dense
-        assert np.max(np.abs(got_t - want_t)) < 1e-12
+    constant = Diffusion.scalar(1.7)
+    assert constant.scale(0.3, x).ndim == 0
+    got = constant.apply(0.3, x, v)
+    for b in range(6):
+        assert np.array_equal(got[b], 1.7 * v[b])
+
+    varying = Diffusion.scalar(lambda t, x: 1.0 + t * np.tanh(x[:, 0]))
+    assert varying.scale(0.3, x).shape == (6, 1)
+    got = varying.apply(0.3, x, v)
+    for b in range(6):
+        assert np.array_equal(got[b], (1.0 + 0.3 * np.tanh(x[b, 0])) * v[b])
 
 
 def test_get_problem_rejects_unknown_name():
@@ -216,8 +219,10 @@ def test_get_problem_accepts_numpy_numbers():
 
 
 def test_dimension_validated():
-    with pytest.raises(ConfigError):
-        get_problem("heat", 0)
+    # -1 once reached numpy's "negative dimensions" ValueError in as_vector
+    for d in (0, -1):
+        with pytest.raises(ConfigError, match="dimension must be at least 1"):
+            get_problem("heat", d)
 
 
 def test_with_point_start():
@@ -231,6 +236,5 @@ def test_with_point_start():
 def test_builtin_sigma_is_sqrt2():
     for name in ("heat", "hjb", "allen_cahn"):
         p = get_problem(name, 3)
-        dense = p.sigma.dense(0.0, np.zeros(3))
-        assert np.allclose(dense, np.sqrt(2.0) * np.eye(3), atol=1e-15)
+        assert p.sigma.scale(0.0, np.zeros((5, 3))) == np.sqrt(2.0)
         assert p.mu is None

@@ -363,7 +363,7 @@ def test_increment_statistics():
 def test_euler_recursion_reproduces_paths_bitwise():
     p = ProblemSpec(
         name="test", d=2, T=1.0, mu=lambda t, x: -0.5 * x,
-        sigma=Diffusion.diagonal(np.array([1.0, 2.0])),
+        sigma=Diffusion.scalar(lambda t, x: 1.0 + 0.5 * np.tanh(x[:, 0])),
         f=None, g=lambda x: np.zeros(x.shape[0]),
         xi=XiSampler.uniform_box(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
         exact=None,

@@ -558,6 +558,32 @@ def test_cli_oracle_unknown_problem_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_oracle_negative_dimension_exits_2(tmp_path, capsys):
+    code = main(["oracle", "--problem", "heat", "--d", "-1",
+                 "--out", str(tmp_path / "o.json")])
+    assert code == 2
+    assert "dimension must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("step", ["fsync", "replace"])
+def test_cli_oracle_write_failure_keeps_previous_record(tmp_path, capsys, monkeypatch, step):
+    record_path = tmp_path / "oracle.json"
+    argv = ["oracle", "--problem", "heat", "--d", "1", "--samples", "200",
+            "--out", str(record_path)]
+    assert main(argv + ["--seed", "1"]) == 0
+    before = record_path.read_bytes()
+
+    def disk_full(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, step, disk_full)
+    assert main(argv + ["--seed", "2"]) == 4
+    assert "No space" in capsys.readouterr().err
+    assert record_path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["oracle.json"]
+
+
 def test_cli_oracle_fd_route(tmp_path, capsys):
     code = main(["oracle", "--problem", "allen_cahn", "--d", "1", "--x0", "0.0",
                  "--grid", "200", "--out", str(tmp_path / "o.json")])
@@ -632,6 +658,16 @@ def test_cli_eval_bare_archive_uses_problem_defaults(tmp_path, capsys):
     assert lines[0].startswith(f"u(0, xi) = {mean:.10g} ")
     # heat's exact u(0, 0) = 2 d T with the default T = 1 and xi0 = 0
     assert lines[1].startswith(f"exact:     {2.0 * bank.d:.10g} ")
+
+
+def test_cli_eval_zero_samples_exits_2(tmp_path, capsys):
+    path = tmp_path / "params.json"
+    save_params(_fresh_bank("deterministic_xi"), None, path)
+    code = main(["eval", "--params", str(path), "--problem", "heat", "--samples", "0"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "n_eval must be at least 1" in captured.err
+    assert "over 0 draws" not in captured.out
 
 
 def test_cli_eval_non_finite_archive_exits_2(tmp_path, capsys):
