@@ -30,7 +30,6 @@ from .net import (
 from .optim import AdamState, LrSchedule, adam_step, clip_by_global_norm, lr_at, sgd_step
 from .oracle import OracleEstimate, cole_hopf_mc, fd_semilinear_1d, mc_feynman_kac
 from .problems import (
-    Diffusion,
     ExactSolution,
     ProblemSpec,
     XiSampler,
@@ -44,7 +43,6 @@ from .sde import (
     PathBatch,
     RngStream,
     TimeGrid,
-    euler_step,
     make_uniform_grid,
     simulate_paths,
 )
@@ -64,7 +62,6 @@ __all__ = [
     "BrownianBatch",
     "ConfigError",
     "DeepBsdeError",
-    "Diffusion",
     "ExactSolution",
     "LrSchedule",
     "METRICS_HEADER",
@@ -89,7 +86,6 @@ __all__ = [
     "clip_by_global_norm",
     "cole_hopf_mc",
     "estimate_u0",
-    "euler_step",
     "exact_eval",
     "fd_semilinear_1d",
     "flatten_params",

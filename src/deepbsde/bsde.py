@@ -245,7 +245,7 @@ def rollout_values(problem, bank, grid, paths, increments):
 def oracle_rollout_loss(problem, grid, paths, increments):
     """Rollout with the closed-form solution in place of the networks.
 
-    The initial value is u(0, x_0) and each step feeds sigma^T grad u exactly,
+    The initial value is u(0, x_0) and each step feeds z = s grad u exactly,
     so the returned loss is pure time-discretization error: its large-batch
     limit shrinks linearly in the step size on smooth problems.
     """
@@ -257,7 +257,7 @@ def oracle_rollout_loss(problem, grid, paths, increments):
     def z_at(n, x_n, saved):
         t_n = float(grid.times[n])
         grad = np.asarray(problem.exact.grad(t_n, x_n), dtype=np.float64)
-        return problem.sigma.apply(t_n, x_n, grad)
+        return grad * problem.sigma
 
     y = _forward(problem, grid, states, incs, y0, z_at)
     return _mse(_terminal_values(problem, states[:, -1, :]) - y[:, 0])

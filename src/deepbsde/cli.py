@@ -10,7 +10,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import parse_config
+from .config import BANK_MODES, parse_config
 from .errors import ConfigError, DeepBsdeError, NumericError
 from .bsde import estimate_u0
 from .oracle import cole_hopf_mc, fd_semilinear_1d, mc_feynman_kac
@@ -50,20 +50,32 @@ def cmd_train(args):
 
 
 def cmd_oracle(args):
+    lam = 1.0 if args.lam is None else args.lam
     overrides = {"T": args.T, "xi0": args.x0}
     if args.problem == "hjb":
-        overrides["lambda"] = args.lam
+        overrides["lambda"] = lam
     problem = get_problem(args.problem, args.d, overrides)
     x0 = problem.xi.point
     stream = RngStream(args.seed)
 
     if problem.f is None:
-        grid = make_uniform_grid(args.T, args.steps)
-        est = mc_feynman_kac(problem, x0, args.samples, grid, stream)
-        method = "mc_feynman_kac"
+        method, reads = "mc_feynman_kac", ("samples", "steps")
     elif args.problem == "hjb":
-        est = cole_hopf_mc(args.lam, problem.g, x0, args.T, args.samples, stream)
-        method = "cole_hopf_mc"
+        method, reads = "cole_hopf_mc", ("samples", "lam")
+    else:
+        method, reads = "fd_semilinear_1d", ("grid",)
+    # like a config key that changes nothing, a flag the route never reads is an error
+    for flag, key in (("--samples", "samples"), ("--steps", "steps"),
+                      ("--lambda", "lam"), ("--grid", "grid")):
+        if getattr(args, key) is not None and key not in reads:
+            raise ConfigError(f"{flag} has no effect on the {method} route of '{args.problem}'")
+    samples = 100000 if args.samples is None else args.samples
+
+    if method == "mc_feynman_kac":
+        grid = make_uniform_grid(args.T, 20 if args.steps is None else args.steps)
+        est = mc_feynman_kac(problem, x0, samples, grid, stream)
+    elif method == "cole_hopf_mc":
+        est = cole_hopf_mc(lam, problem.g, x0, args.T, samples, stream)
     else:
         if args.d != 1:
             raise ConfigError(
@@ -72,7 +84,6 @@ def cmd_oracle(args):
         nodes, steps, width = _parse_grid(args.grid) if args.grid else (400, None, None)
         est = fd_semilinear_1d(problem, float(x0[0]), half_width=width,
                                nodes=nodes, time_steps=steps)
-        method = "fd_semilinear_1d"
 
     print(f"{method}: u(0, x0) = {est.value:.10g} +/- {est.stderr:.4g}")
     record = {
@@ -81,7 +92,7 @@ def cmd_oracle(args):
         "value": est.value, "stderr": est.stderr, "info": est.info,
     }
     if args.problem == "hjb":
-        record["lambda"] = args.lam
+        record["lambda"] = lam
     _write_atomic(Path(args.out), json.dumps(record, sort_keys=True, indent=2) + "\n")
     print(f"wrote {args.out}")
     return 0
@@ -95,6 +106,9 @@ def cmd_eval(args):
         )
     keys = override_keys(args.problem)
     problem = get_problem(args.problem, bank.d, {k: cfg[k] for k in keys if k in cfg})
+    if bank.mode != BANK_MODES[problem.xi.kind]:
+        raise ConfigError(f"archive's bank is {bank.mode}, but its start law "
+                          f"'{problem.xi.kind}' needs {BANK_MODES[problem.xi.kind]}")
 
     mean, spread = estimate_u0(bank, problem, args.samples, RngStream(args.seed))
     print(f"u(0, xi) = {mean:.10g} (spread {spread:.4g} over {args.samples} draws)")
@@ -123,16 +137,18 @@ def build_parser():
     p_oracle.add_argument("--d", type=int, required=True)
     p_oracle.add_argument("--x0", nargs="+", type=float, default=[0.0],
                           help="starting point; one value broadcasts to d")
-    p_oracle.add_argument("--samples", type=int, default=100000)
-    p_oracle.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    p_oracle.add_argument("--samples", type=int, default=None,
+                          help="Monte Carlo samples (default 100000)")
+    p_oracle.add_argument("--lambda", dest="lam", type=float, default=None,
+                          help="hjb only (default 1)")
     p_oracle.add_argument("--grid", default=None, metavar="M,K,L",
-                          help="finite-difference nodes, coarse time steps K (the march "
-                               "runs K and 2K steps and returns 2 u_2K - u_K; default "
-                               "K = M at the default half width, more where the driver's "
-                               "stability bound needs it), half width")
+                          help="finite-difference route only: nodes, coarse time steps K "
+                               "(the march runs K and 2K steps and returns 2 u_2K - u_K; "
+                               "default K = M at the default half width, more where the "
+                               "driver's stability bound needs it), half width")
     p_oracle.add_argument("--T", type=float, default=1.0)
-    p_oracle.add_argument("--steps", type=int, default=20,
-                          help="path time steps for the Monte Carlo route")
+    p_oracle.add_argument("--steps", type=int, default=None,
+                          help="path time steps for the Feynman-Kac route (default 20)")
     p_oracle.add_argument("--seed", type=int, default=0)
     p_oracle.add_argument("--out", default="oracle_summary.json")
     p_oracle.set_defaults(func=cmd_oracle)

@@ -22,6 +22,8 @@ from .optim import LrSchedule
 from .problems import get_problem
 
 OPTIMIZERS = ("adam", "sgd")
+# bank variant per start law: a point start has a scalar y0, a box start a y0 net
+BANK_MODES = {"point": "deterministic_xi", "box": "general_xi"}
 
 
 @dataclass
@@ -88,8 +90,7 @@ class RunConfig:
 
     @property
     def mode(self):
-        """Bank variant: a point start has a scalar y0, a box start a y0 net."""
-        return "deterministic_xi" if self.xi_mode == "point" else "general_xi"
+        return BANK_MODES[self.xi_mode]
 
     def schedule(self):
         if self.lr_values is None:

@@ -94,19 +94,13 @@ def cole_hopf_mc(lam, g, x0, horizon, n_samples, stream):
     return OracleEstimate(value=value, stderr=stderr, info={"samples": int(n_samples)})
 
 
-def _scalar_sigma(problem, t, x_nodes):
-    """s(t, x) at 1-D nodes, one value per node."""
-    s = problem.sigma.scale(t, x_nodes[:, None]).reshape(-1)
-    return np.broadcast_to(s, x_nodes.shape)
-
-
 def fd_semilinear_1d(problem, x0, half_width=None, nodes=400, time_steps=None):
     """Finite-difference march for d = 1 problems; returns u(0, x0).
 
     Backward in time from the terminal condition on [x0 - L, x0 + L]:
-    Crank-Nicolson on the linear operator mu d_x + 0.5 sigma^2 d_xx, the
-    driver treated explicitly at the current level with z = sigma d_x u by
-    central differences. Boundary rows impose zero second derivative
+    Crank-Nicolson on the linear operator 0.5 s^2 d_xx, the driver treated
+    explicitly at the current level with z = s d_x u by central
+    differences. Boundary rows impose zero second derivative
     (linear extrapolation), which keeps the interior system tridiagonal.
 
     The explicit driver makes the march first order in time, so it runs
@@ -114,15 +108,12 @@ def fd_semilinear_1d(problem, x0, half_width=None, nodes=400, time_steps=None):
     2 u_2K - u_K (Richardson extrapolation), which cancels the O(dt) term.
     The K-step march runs first, so an error names its step.
 
-    mu and sigma are evaluated once per time level: a step's new level is
-    the next step's old level, at the same float time. The tridiagonal LU
-    (LAPACK gttrf) is refactored only at a level whose mu or sigma values
-    differ from the previous level's, so time-dependent coefficients
-    refactor at every step and constant ones once; each step then costs one
-    gttrs solve. A singular system or a non-finite solution raises
-    NumericError naming the time step.
+    The operator has constant coefficients, so the tridiagonal LU (LAPACK
+    gttrf) is factored once before the march and each step costs one gttrs
+    solve. A singular system or a non-finite solution raises NumericError,
+    the latter naming the time step.
 
-    Defaults: L = 6 sigma sqrt(T); K = ceil(nodes (6 sigma sqrt(T)) / L), so
+    Defaults: L = 6 s sqrt(T); K = ceil(nodes (6 s sqrt(T)) / L), so
     dt shrinks with dx and K = nodes at the default L, raised where needed
     to T max f_z^2 at the terminal level, the stability bound of a driver
     that depends on z. info["time_steps"] is K.
@@ -133,8 +124,7 @@ def fd_semilinear_1d(problem, x0, half_width=None, nodes=400, time_steps=None):
         raise ConfigError(f"need at least 8 spatial intervals, got {nodes}")
     x0 = float(np.asarray(x0).reshape(-1)[0])
     T = problem.T
-    sigma0 = float(_scalar_sigma(problem, 0.0, np.array([x0]))[0])
-    default_width = 6.0 * sigma0 * math.sqrt(T)
+    default_width = 6.0 * problem.sigma * math.sqrt(T)
     half_width = default_width if half_width is None else float(half_width)
     if not (math.isfinite(half_width) and half_width > 0.0):
         raise ConfigError(f"half_width must be positive and finite, got {half_width}")
@@ -159,14 +149,14 @@ def _stable_steps(problem, xs):
     """Fewest steps with dt max f_z^2 <= 1 at the terminal level.
 
     Against Crank-Nicolson diffusion, the explicit driver's z-term (an
-    advection at speed f_z sigma, central differences) is von Neumann
+    advection at speed f_z s, central differences) is von Neumann
     stable only for dt f_z^2 <= 1, whatever dx is.
     """
     if problem.f is None:
         return 0
     T = problem.T
     u = np.asarray(problem.g(xs[:, None]), dtype=np.float64).reshape(xs.size)
-    z = _scalar_sigma(problem, T, xs) * np.gradient(u, xs)
+    z = problem.sigma * np.gradient(u, xs)
     _, f_z = problem.df(T, xs[:, None], u[:, None], z[:, None])
     bound = T * float(np.max(np.square(f_z)))
     if not math.isfinite(bound):
@@ -181,63 +171,39 @@ def _march(problem, xs, time_steps):
     dx = xs[1] - xs[0]
     dt = T / time_steps
     u = np.asarray(problem.g(xs[:, None]), dtype=np.float64).reshape(m + 1).copy()
-    zero_drift = np.zeros(m + 1)
+    s = problem.sigma
+    # 0.5 s^2 d_xx: the same weight on both neighbours, constant in x and t
+    s2 = s * s
+    side = s2 / (2.0 * dx ** 2)
+    diag = -s2 / dx ** 2
+    a = np.full(m - 1, -0.5 * dt * side)
+    b = np.full(m - 1, 1.0 - 0.5 * dt * diag)
+    c = a.copy()
+    # fold the zero-curvature boundary (u_0 = 2u_1 - u_2 and mirrored) into
+    # the first and last interior rows
+    b[0] += 2.0 * a[0]
+    c[0] -= a[0]
+    b[-1] += 2.0 * c[-1]
+    a[-1] -= c[-1]
+    *lu, info = gttrf(a[1:], b, c[:-1])
+    if info > 0:
+        raise NumericError("singular implicit system")
 
-    def level(t):
-        mu = zero_drift if problem.mu is None else \
-            np.asarray(problem.mu(t, xs[:, None]), dtype=np.float64).reshape(m + 1)
-        return mu, _scalar_sigma(problem, t, xs)
-
-    def operator_coeffs(mu, sig):
-        s2 = sig ** 2
-        lower = -mu / (2.0 * dx) + s2 / (2.0 * dx ** 2)
-        diag = -s2 / dx ** 2
-        upper = mu / (2.0 * dx) + s2 / (2.0 * dx ** 2)
-        return lower, diag, upper
-
-    def implicit_factor(lower, diag, upper, j):
-        a = -0.5 * dt * lower[1:m]
-        b = 1.0 - 0.5 * dt * diag[1:m]
-        c = -0.5 * dt * upper[1:m]
-        # fold the zero-curvature boundary (u_0 = 2u_1 - u_2 and mirrored)
-        # into the first and last interior rows
-        b[0] += 2.0 * a[0]
-        c[0] -= a[0]
-        b[-1] += 2.0 * c[-1]
-        a[-1] -= c[-1]
-        *lu, info = gttrf(a[1:], b, c[:-1])
-        if info > 0:
-            raise NumericError(f"singular implicit system at time step {j}")
-        return lu
-
-    mu, sig = level(T)
-    coeffs = operator_coeffs(mu, sig)
-    lu = None
     for j in range(time_steps):
         t_old = T - j * dt
-        lower, diag, upper = coeffs
         rhs_interior = u[1:m] + 0.5 * dt * (
-            lower[1:m] * u[0:m - 1] + diag[1:m] * u[1:m] + upper[1:m] * u[2:m + 1]
+            side * u[0:m - 1] + diag * u[1:m] + side * u[2:m + 1]
         )
         if problem.f is not None:
             du_dx = np.empty(m + 1)
             du_dx[1:m] = (u[2:] - u[:-2]) / (2.0 * dx)
             du_dx[0] = (u[1] - u[0]) / dx
             du_dx[m] = (u[m] - u[m - 1]) / dx
-            z = (sig * du_dx)[:, None]
+            z = (s * du_dx)[:, None]
             fv = np.asarray(
                 problem.f(t_old, xs[:, None], u[:, None], z), dtype=np.float64
             ).reshape(m + 1)
             rhs_interior = rhs_interior + dt * fv[1:m]
-
-        mu_new, sig_new = level(T - (j + 1) * dt)
-        unchanged = (mu_new is mu or np.array_equal(mu_new, mu)) and np.array_equal(sig_new, sig)
-        if not unchanged:
-            coeffs = operator_coeffs(mu_new, sig_new)
-            lu = None
-        mu, sig = mu_new, sig_new
-        if lu is None:
-            lu = implicit_factor(*coeffs, j)
         interior, _ = gttrs(*lu, rhs_interior, overwrite_b=1)
         u[1:m] = interior
         u[0] = 2.0 * u[1] - u[2]

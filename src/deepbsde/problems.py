@@ -1,14 +1,15 @@
 """Problem definitions: coefficients, terminal data, starting-point samplers,
 and the built-in benchmark instances.
 
+The forward process has no drift and diffusion sigma = s I, with s one
+finite constant >= 0 per problem (ProblemSpec.sigma), so X = xi + s W.
+
 Conventions shared across the library:
-  - drift mu(t, x) and terminal g(x) take x as [batch, d]; g returns [batch]
+  - terminal g(x) takes x as [batch, d] and returns [batch]
   - a driver f(t, x, y, z) takes y as [batch, 1] and z as [batch, d] and
     returns [batch, 1] (or a scalar); its partials df(t, x, y, z) return
     (f_y, f_z), broadcastable to [batch, 1] and [batch, d], for the rollout's
     adjoint. f = None declares the linear case f == 0 and needs no df
-  - the diffusion is sigma(t, x) = s(t, x) I, with s a constant or one value
-    per sample; Diffusion.apply multiplies by s
 """
 
 import math
@@ -22,29 +23,6 @@ from .errors import ConfigError, ShapeError
 from .sde import block_uniforms
 
 BUILTIN_PROBLEMS = ("heat", "hjb", "allen_cahn")
-
-
-@dataclass(frozen=True)
-class Diffusion:
-    """Diffusion coefficient sigma(t, x) = s(t, x) I: fn returns s as a
-    constant or one value per sample ([batch] or [batch, 1])."""
-
-    fn: Callable
-
-    @classmethod
-    def scalar(cls, value):
-        fn = value if callable(value) else (lambda t, x, _c=float(value): _c)
-        return cls(fn)
-
-    def scale(self, t, x):
-        """s(t, x) as a scalar or a [batch, 1] column."""
-        s = np.asarray(self.fn(t, x), dtype=np.float64)
-        return s if s.ndim == 0 else s.reshape(-1, 1)
-
-    def apply(self, t, x, v):
-        """sigma(t, x) v = s(t, x) v for v of shape [batch, d]; s I is its
-        own transpose, so this is also sigma^T v."""
-        return v * self.scale(t, x)
 
 
 @dataclass(frozen=True)
@@ -97,14 +75,14 @@ class XiSampler:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Everything the solver needs: coefficients, driver and its partials,
-    terminal data, starting law, and (when known) the exact solution."""
+    """Everything the solver needs: the diffusion scale s (sigma = s I),
+    driver and its partials, terminal data, starting law, and (when known)
+    the exact solution."""
 
     name: str
     d: int
     T: float
-    mu: Callable | None
-    sigma: Diffusion
+    sigma: float
     f: Callable | None
     g: Callable
     xi: XiSampler
@@ -120,6 +98,8 @@ class ProblemSpec:
             raise ConfigError(f"dimension must be at least 1, got {self.d}")
         if self.T <= 0.0:
             raise ConfigError(f"'T' must be positive, got {self.T}")
+        if _number(self.sigma, "sigma") < 0.0:
+            raise ConfigError(f"'sigma' must not be negative, got {self.sigma}")
         if self.xi.dim != self.d:
             raise ShapeError(f"initial sampler is {self.xi.dim}-dimensional, problem is {self.d}")
 
@@ -152,7 +132,7 @@ def _heat(d, T, xi):
         return 2.0 * x
 
     return ProblemSpec(
-        name="heat", d=d, T=T, mu=None, sigma=Diffusion.scalar(np.sqrt(2.0)),
+        name="heat", d=d, T=T, sigma=math.sqrt(2.0),
         f=None, g=g, xi=xi, exact=ExactSolution(u, du),
     )
 
@@ -173,7 +153,7 @@ def _hjb(d, T, lam, xi):
         return 0.0, (-lam) * z
 
     return ProblemSpec(
-        name="hjb", d=d, T=T, mu=None, sigma=Diffusion.scalar(np.sqrt(2.0)),
+        name="hjb", d=d, T=T, sigma=math.sqrt(2.0),
         f=f, g=g, xi=xi, exact=None, df=df,
     )
 
@@ -191,7 +171,7 @@ def _allen_cahn(d, T, xi):
         return 1.0 - 3.0 * y * y, 0.0
 
     return ProblemSpec(
-        name="allen_cahn", d=d, T=T, mu=None, sigma=Diffusion.scalar(np.sqrt(2.0)),
+        name="allen_cahn", d=d, T=T, sigma=math.sqrt(2.0),
         f=f, g=g, xi=xi, exact=None, df=df,
     )
 
@@ -204,7 +184,7 @@ def _number(value, key):
     infinity or anything else is a ConfigError naming the key."""
     number = isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
     if not number or not math.isfinite(value):
-        raise ConfigError(f"override '{key}' must be a finite number, got {value!r}")
+        raise ConfigError(f"'{key}' must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -218,7 +198,8 @@ def as_vector(value, d, key):
     if arr.size == 1:
         return np.full(d, arr[0])
     if arr.size != d:
-        raise ConfigError(f"override '{key}' needs 1 or {d} entries, got {arr.size}")
+        need = "1 entry" if d == 1 else f"1 or {d} entries"
+        raise ConfigError(f"override '{key}' needs {need}, got {arr.size}")
     return arr
 
 
@@ -287,8 +268,8 @@ def pde_residual(problem, t, x, step=1e-3):
 
     Estimates the time derivative, gradient and Laplacian of the closed-form
     solution by central differences (never touching exact.grad), assembles
-    dt_u + mu . grad + 0.5 s^2 tr(Hess) + f(t, x, u, s grad) for sigma = s I,
-    and returns it. Zero up to discretization error certifies that the stored
+    dt_u + 0.5 s^2 tr(Hess) + f(t, x, u, s grad) for sigma = s I, and
+    returns it. Zero up to discretization error certifies that the stored
     solution actually solves the equation. Requires step <= t <= T - step.
     """
     if problem.exact is None:
@@ -314,11 +295,8 @@ def pde_residual(problem, t, x, step=1e-3):
         trace_hess += (up - 2.0 * u0 + dn) / step ** 2
 
     xb = x[None, :]
-    residual = dt_u
-    if problem.mu is not None:
-        residual += float(np.asarray(problem.mu(t, xb)).reshape(-1) @ grad)
-    s = float(problem.sigma.scale(t, xb).reshape(-1)[0])
-    residual += 0.5 * s * s * trace_hess
+    s = problem.sigma
+    residual = dt_u + 0.5 * s * s * trace_hess
     if problem.f is not None:
         z = (s * grad)[None, :]
         fval = np.asarray(problem.f(t, xb, np.array([[u0]]), z), dtype=np.float64)

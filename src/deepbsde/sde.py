@@ -1,5 +1,9 @@
 """Seedable counter-based randomness and forward path simulation.
 
+The forward process is X = xi + s W on the time grid: X_{n+1} = X_n + s dW_n
+with no drift and one constant s per problem (sigma = s I), accumulated in
+place in the path array.
+
 The generator is splitmix64: output k (1-based) of a stream with seed state
 s is mix64(s + k * GOLDEN). Because every draw is a pure function of
 (seed state, counter), scalar draws, block draws, and the draws of any slice
@@ -293,37 +297,16 @@ class PathBatch:
     states: np.ndarray
 
 
-def euler_step(problem, t, x, dt, dw):
-    """One forward update x + mu(t,x) dt + sigma(t,x) dw.
-
-    x and dw may be a single [d] vector or a [batch, d] block; drift and
-    diffusion callbacks must be vectorized over the batch axis.
-    """
-    if dt <= 0.0:
-        raise ConfigError(f"step size must be positive, got {dt}")
-    x = np.asarray(x, dtype=np.float64)
-    dw = np.asarray(dw, dtype=np.float64)
-    single = x.ndim == 1
-    xb = x[None, :] if single else x
-    wb = dw[None, :] if single else dw
-    out = xb
-    if problem.mu is not None:
-        out = out + np.asarray(problem.mu(t, xb), dtype=np.float64) * dt
-    out = out + problem.sigma.apply(t, xb, wb)
-    if not np.all(np.isfinite(out)):
-        bad = int(np.argwhere(~np.isfinite(out).all(axis=1))[0][0])
-        raise NumericError(f"non-finite state after Euler update (row {bad})")
-    return out[0] if single else out
-
-
 def _simulate_chunk(problem, grid, stream, lo, hi, states, increments):
     """Fill rows [lo, hi) of states and of the C-contiguous increments:
-    every step's increments drawn at once, then the Euler recursion.
+    every step's increments drawn at once, then X_{n+1} = X_n + s dW_n.
 
     Sample i's step-n increments come from the sub-stream (n+1, i). The
     draw goes straight into increments, for blocks of samples whose seed
     states (one per sample and step) fill about one kernel pass, so a
-    large batch never holds a full-size seed array.
+    large batch never holds a full-size seed array. s dW is written into
+    the states and summed along time in place, so no full-size temporary
+    is made.
     """
     if not increments.flags.c_contiguous:
         raise ShapeError("increments must be C-contiguous: the draw writes into it in place")
@@ -336,13 +319,14 @@ def _simulate_chunk(problem, grid, stream, lo, hi, states, increments):
         _draw(seeds.reshape(-1), 0, increments[a:b].reshape(-1, problem.d), True)
     dw = increments[lo:hi]
     dw *= np.sqrt(np.diff(grid.times))[:, None]
-    for n in range(grid.num_steps):
-        try:
-            states[lo:hi, n + 1, :] = euler_step(
-                problem, float(grid.times[n]), states[lo:hi, n, :], grid.dt(n), dw[:, n, :]
-            )
-        except NumericError as e:
-            raise NumericError(f"step {n}, samples [{lo}, {hi}): {e}") from e
+    x = states[lo:hi]
+    np.multiply(dw, problem.sigma, out=x[:, 1:])
+    np.cumsum(x, axis=1, out=x)
+    # a non-finite state stays non-finite in every later sum (s dW is never
+    # NaN), so the terminal states show every bad sample
+    bad = np.flatnonzero(~np.isfinite(x[:, -1]).all(axis=1))
+    if bad.size:
+        raise NumericError(f"non-finite state in sample {lo + int(bad[0])}")
 
 
 def simulate_paths(problem, grid, batch, stream):

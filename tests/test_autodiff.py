@@ -7,7 +7,7 @@ import pytest
 from deepbsde.bsde import Tape, backward, rollout_loss
 from deepbsde.errors import ConfigError, NumericError, ShapeError
 from deepbsde.net import MODES, SHARINGS, MLPConfig, MLPParams, SubnetBank, mlp_backward, mlp_eval
-from deepbsde.problems import Diffusion, ProblemSpec, XiSampler, get_problem
+from deepbsde.problems import ProblemSpec, XiSampler, get_problem
 from deepbsde.sde import BrownianBatch, PathBatch, RngStream, make_uniform_grid, simulate_paths
 
 from conftest import central_diff_grad, max_rel_err
@@ -26,7 +26,7 @@ def _one_step(y0, z0, dw, g, T=1.0, f=None, df=None):
     dw = np.asarray(dw, dtype=np.float64)
     d = dw.shape[1]
     problem = ProblemSpec(
-        name="hand", d=d, T=T, mu=None, sigma=Diffusion.scalar(1.0), f=f, g=g,
+        name="hand", d=d, T=T, sigma=1.0, f=f, g=g,
         xi=XiSampler.point_mass(np.zeros(d)), exact=None, df=df,
     )
     bank = SubnetBank("deterministic_xi", "independent", d, 1)
@@ -163,7 +163,7 @@ def _small_rollout(increments_scale=None):
     d, n = 2, 3
     bank = SubnetBank.create("deterministic_xi", "independent", d, n, hidden=(3, 3), seed=4)
     problem = ProblemSpec(
-        name="free", d=d, T=1.0, mu=None, sigma=Diffusion.scalar(1.0), f=None,
+        name="free", d=d, T=1.0, sigma=1.0, f=None,
         g=lambda x: np.sum(x * x, axis=1), xi=XiSampler.point_mass(np.zeros(d)), exact=None,
     )
     stream = RngStream(12)

@@ -11,7 +11,7 @@ from deepbsde.bsde import (
 )
 from deepbsde.errors import ConfigError
 from deepbsde.net import SubnetBank, flatten_params, param_count, unflatten_params
-from deepbsde.problems import Diffusion, ProblemSpec, XiSampler, get_problem
+from deepbsde.problems import ProblemSpec, XiSampler, get_problem
 from deepbsde.sde import BrownianBatch, PathBatch, RngStream, make_uniform_grid, simulate_paths
 
 from conftest import central_diff_grad, max_rel_err
@@ -19,8 +19,8 @@ from conftest import central_diff_grad, max_rel_err
 
 def _custom_problem(d, T=1.0, sigma=None, f=None, df=None, g=None, xi0=None):
     return ProblemSpec(
-        name="custom", d=d, T=T, mu=None,
-        sigma=sigma or Diffusion.scalar(1.0),
+        name="custom", d=d, T=T,
+        sigma=1.0 if sigma is None else sigma,
         f=f, g=g or (lambda x: np.zeros(x.shape[0])),
         xi=XiSampler.point_mass(np.zeros(d) if xi0 is None else np.asarray(xi0, dtype=np.float64)),
         exact=None, df=df,
@@ -47,7 +47,7 @@ def test_hand_rollout_single_path():
 def test_constant_solution_zero_loss():
     # g == 1, psi0 == 1, phi == 0 -> perfect match on any paths
     p = _custom_problem(2, g=lambda x: np.ones(x.shape[0]),
-                        sigma=Diffusion.scalar(np.sqrt(2.0)))
+                        sigma=np.sqrt(2.0))
     grid = make_uniform_grid(1.0, 5)
     bank = SubnetBank.create("general_xi", "independent", 2, 5, hidden=(4, 4), seed=1)
     vec = flatten_params(bank)
@@ -158,7 +158,7 @@ def test_oracle_rollout_constant_solution():
     from deepbsde.problems import ExactSolution
     c = 2.5
     p = ProblemSpec(
-        name="const", d=2, T=1.0, mu=None, sigma=Diffusion.scalar(np.sqrt(2.0)),
+        name="const", d=2, T=1.0, sigma=np.sqrt(2.0),
         f=None, g=lambda x: np.full(x.shape[0], c),
         xi=XiSampler.point_mass(np.zeros(2)),
         exact=ExactSolution(

@@ -182,6 +182,9 @@ def test_wrong_length_start_point_rejected_at_parse():
     text = MINIMAL + "xi_mode = box\nbox_low = -1, -1, -1\n"
     with pytest.raises(ConfigError, match="'box_low' needs 1 or 2 entries, got 3"):
         parse_config_text(text)
+    text = MINIMAL.replace("d = 2", "d = 1") + "xi0 = 1, 2\n"
+    with pytest.raises(ConfigError, match="'xi0' needs 1 entry, got 2"):
+        parse_config_text(text)
 
 
 def test_unknown_enum_values_rejected():

@@ -3,13 +3,13 @@ import pytest
 
 from deepbsde.errors import ConfigError, NumericError
 from deepbsde.oracle import cole_hopf_mc, fd_semilinear_1d, mc_feynman_kac
-from deepbsde.problems import Diffusion, ProblemSpec, XiSampler, get_problem
+from deepbsde.problems import ProblemSpec, XiSampler, get_problem
 from deepbsde.sde import RngStream, make_uniform_grid
 
 
 def _linear_free_problem(d=1, g=None):
     return ProblemSpec(
-        name="custom", d=d, T=1.0, mu=None, sigma=Diffusion.scalar(1.0),
+        name="custom", d=d, T=1.0, sigma=1.0,
         f=None, g=g or (lambda x: x[:, 0]),
         xi=XiSampler.point_mass(np.zeros(d)), exact=None,
     )
@@ -138,7 +138,7 @@ def test_monte_carlo_values_pinned():
 # -- 1-D finite differences ---------------------------------------------------
 
 def test_fd_linear_terminal_is_exact():
-    # u(t,x) = x solves the driverless PDE with mu=0: curvature-free
+    # u(t,x) = x solves the driverless PDE: curvature-free
     p = _linear_free_problem(g=lambda x: x[:, 0])
     est = fd_semilinear_1d(p, x0=0.3, nodes=200, time_steps=400)
     assert abs(est.value - 0.3) < 1e-10
@@ -155,7 +155,7 @@ def test_fd_allen_cahn_constant_data_matches_ode():
     # backward ODE with RK4 at high resolution as an independent oracle
     c = 0.5
     p = ProblemSpec(
-        name="ac_flat", d=1, T=1.0, mu=None, sigma=Diffusion.scalar(np.sqrt(2.0)),
+        name="ac_flat", d=1, T=1.0, sigma=np.sqrt(2.0),
         f=lambda t, x, y, z: y - y * y * y,
         g=lambda x: np.full(x.shape[0], c),
         xi=XiSampler.point_mass(np.zeros(1)), exact=None,
@@ -237,32 +237,6 @@ def test_fd_rejects_multidimensional_problems():
         fd_semilinear_1d(p, x0=0.0)
 
 
-def test_fd_time_dependent_sigma():
-    # u = x^2 + int_t^T sigma^2(s) ds, so u(0, 0) = T + T^2/2 for sigma^2 = 1 + t;
-    # a march that kept the first (or any single) level's sigma would miss it
-    p = ProblemSpec(
-        name="sigma_t", d=1, T=1.0, mu=None,
-        sigma=Diffusion.scalar(lambda t, x: np.sqrt(1.0 + t)),
-        f=None, g=lambda x: x[:, 0] ** 2,
-        xi=XiSampler.point_mass(np.zeros(1)), exact=None,
-    )
-    est = fd_semilinear_1d(p, x0=0.0, nodes=200)
-    assert abs(est.value - 1.5) < 1e-5
-
-
-def test_fd_time_dependent_drift():
-    # u = e^{0.1 (T - t)} (x + int_t^T 0.3 s ds) solves u_t + 0.3 t u_x
-    # + u_xx / 2 + 0.1 u = 0 with u(T, x) = x
-    p = ProblemSpec(
-        name="mu_t", d=1, T=1.0, mu=lambda t, x: np.full(x.shape, 0.3 * t),
-        sigma=Diffusion.scalar(1.0), f=lambda t, x, y, z: 0.1 * y[:, 0],
-        g=lambda x: x[:, 0], xi=XiSampler.point_mass(np.zeros(1)), exact=None,
-        df=lambda t, x, y, z: (np.full_like(y, 0.1), np.zeros_like(z)),
-    )
-    est = fd_semilinear_1d(p, x0=0.2, nodes=200)
-    assert abs(est.value - np.exp(0.1) * 0.35) < 1e-5
-
-
 @pytest.mark.parametrize("name, params, want", [
     ("allen_cahn", {}, "0.754019847431799"),
     ("hjb", {"lambda": 1.0}, "-0.08668467383845425"),
@@ -277,30 +251,13 @@ def test_fd_values_pinned_bitwise(name, params, want):
 def test_fd_non_finite_driver_names_the_step():
     # t_old = 1 - j / 100 drops below 0.5 first at step 51
     p = ProblemSpec(
-        name="blowup", d=1, T=1.0, mu=None, sigma=Diffusion.scalar(1.0),
+        name="blowup", d=1, T=1.0, sigma=1.0,
         f=lambda t, x, y, z: np.full(x.shape[0], np.inf if t < 0.5 else 0.0),
         g=lambda x: x[:, 0], xi=XiSampler.point_mass(np.zeros(1)), exact=None,
         df=lambda t, x, y, z: (np.zeros_like(y), np.zeros_like(z)),
     )
     with pytest.raises(NumericError, match="non-finite values at time step 51$"):
         fd_semilinear_1d(p, x0=0.0, nodes=50, time_steps=100)
-
-
-def test_fd_singular_system_names_the_step():
-    # sigma = 0 and a drift at the first interior node alone that empties its
-    # column once the boundary is folded in: u_1 appears in no equation
-    nodes, half_width, time_steps = 8, 1.0, 4
-    dx, dt = 2.0 * half_width / nodes, 1.0 / time_steps
-    x1 = -half_width + dx
-    p = ProblemSpec(
-        name="singular", d=1, T=1.0,
-        mu=lambda t, x: np.where(x == x1, -2.0 * dx / dt, 0.0),
-        sigma=Diffusion.scalar(0.0), f=None, g=lambda x: x[:, 0],
-        xi=XiSampler.point_mass(np.zeros(1)), exact=None,
-    )
-    with pytest.raises(NumericError, match="singular implicit system at time step 0$"):
-        fd_semilinear_1d(p, x0=0.0, half_width=half_width, nodes=nodes,
-                         time_steps=time_steps)
 
 
 def test_oracle_estimates_carry_metadata():

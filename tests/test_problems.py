@@ -1,9 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from deepbsde.errors import ConfigError
 from deepbsde.problems import (
-    Diffusion,
     ProblemSpec,
     XiSampler,
     exact_eval,
@@ -65,8 +66,22 @@ def test_driver_partials_match_central_differences(name):
 def test_driver_without_partials_rejected():
     with pytest.raises(ConfigError, match="df"):
         ProblemSpec(
-            name="custom", d=1, T=1.0, mu=None, sigma=Diffusion.scalar(1.0),
+            name="custom", d=1, T=1.0, sigma=1.0,
             f=lambda t, x, y, z: y, g=lambda x: x[:, 0],
+            xi=XiSampler.point_mass(np.zeros(1)),
+        )
+
+
+@pytest.mark.parametrize("sigma, fragment", [
+    (float("nan"), "'sigma' must be a finite number"),
+    (float("inf"), "'sigma' must be a finite number"),
+    ("1.0", "'sigma' must be a finite number"),
+    (-0.5, "'sigma' must not be negative"),
+], ids=["nan", "inf", "string", "negative"])
+def test_problem_rejects_a_bad_sigma(sigma, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        ProblemSpec(
+            name="custom", d=1, T=1.0, sigma=sigma, f=None, g=lambda x: x[:, 0],
             xi=XiSampler.point_mass(np.zeros(1)),
         )
 
@@ -153,26 +168,6 @@ def test_degenerate_box_is_point_mass():
     assert np.array_equal(draws, np.full((16, 2), 0.3))
 
 
-def test_sigma_structure_honesty():
-    # sigma = s(t, x) I: apply scales row b of v by s at row b of x
-    rng = np.random.default_rng(11)
-    d = 4
-    x = rng.standard_normal((6, d))
-    v = rng.standard_normal((6, d))
-
-    constant = Diffusion.scalar(1.7)
-    assert constant.scale(0.3, x).ndim == 0
-    got = constant.apply(0.3, x, v)
-    for b in range(6):
-        assert np.array_equal(got[b], 1.7 * v[b])
-
-    varying = Diffusion.scalar(lambda t, x: 1.0 + t * np.tanh(x[:, 0]))
-    assert varying.scale(0.3, x).shape == (6, 1)
-    got = varying.apply(0.3, x, v)
-    for b in range(6):
-        assert np.array_equal(got[b], (1.0 + 0.3 * np.tanh(x[b, 0])) * v[b])
-
-
 def test_get_problem_rejects_unknown_name():
     with pytest.raises(ConfigError) as err:
         get_problem("wave", 2)
@@ -236,5 +231,4 @@ def test_with_point_start():
 def test_builtin_sigma_is_sqrt2():
     for name in ("heat", "hjb", "allen_cahn"):
         p = get_problem(name, 3)
-        assert p.sigma.scale(0.0, np.zeros((5, 3))) == np.sqrt(2.0)
-        assert p.mu is None
+        assert p.sigma == math.sqrt(2.0)

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from deepbsde.errors import ConfigError, NumericError, ShapeError
-from deepbsde.problems import Diffusion, ProblemSpec, XiSampler, get_problem
+from deepbsde.problems import ProblemSpec, XiSampler, get_problem
 from deepbsde.sde import (
     PASS_SIZE,
     RngStream,
@@ -17,15 +17,14 @@ from deepbsde.sde import (
     block_normals,
     block_uniforms,
     box_muller_pair,
-    euler_step,
     make_uniform_grid,
     simulate_paths,
 )
 
 
-def _free_problem(d, sigma, g=None, mu=None):
+def _free_problem(d, sigma, g=None):
     return ProblemSpec(
-        name="test", d=d, T=1.0, mu=mu, sigma=sigma,
+        name="test", d=d, T=1.0, sigma=sigma,
         f=None, g=(g or (lambda x: np.zeros(x.shape[0]))),
         xi=XiSampler.point_mass(np.zeros(d)), exact=None,
     )
@@ -233,7 +232,7 @@ def test_draws_raise_no_numpy_warnings():
         u = s.uniforms(3 * PASS_SIZE + 5)
         z = s.normals(3 * PASS_SIZE + 5)
         b = block_normals(s, 2 ** 40, 2 ** 63, 2 ** 63 + 3, 2 * PASS_SIZE + 1)
-        p = _free_problem(2, Diffusion.scalar(1.0))
+        p = _free_problem(2, 1.0)
         simulate_paths(p, make_uniform_grid(1.0, 3), 5, s.derive(2 ** 62))
     assert np.all((u > 0.0) & (u <= 1.0))
     assert np.all(np.isfinite(z)) and np.all(np.isfinite(b))
@@ -282,44 +281,11 @@ def test_grid_times_read_only():
         grid.times[0] = 5.0
 
 
-# -- euler step ---------------------------------------------------------------
-
-def test_euler_identity_diffusion():
-    p = _free_problem(2, Diffusion.scalar(1.0))
-    out = euler_step(p, 0.0, np.zeros(2), 0.25, np.array([0.5, -0.5]))
-    assert np.array_equal(out, np.array([0.5, -0.5]))
-
-
-def test_euler_drift_only():
-    p = _free_problem(2, Diffusion.scalar(0.0), mu=lambda t, x: x)
-    out = euler_step(p, 0.0, np.array([1.0, 2.0]), 0.1, np.zeros(2))
-    assert np.allclose(out, np.array([1.1, 2.2]), atol=1e-15)
-
-
-def test_euler_sqrt2_scaling():
-    p = _free_problem(2, Diffusion.scalar(np.sqrt(2.0)))
-    out = euler_step(p, 0.0, np.zeros(2), 0.3, np.array([1.0, 0.0]))
-    assert out[0] == np.sqrt(2.0)
-    assert out[1] == 0.0
-
-
-def test_euler_rejects_bad_dt():
-    p = _free_problem(1, Diffusion.scalar(1.0))
-    with pytest.raises(ConfigError):
-        euler_step(p, 0.0, np.zeros(1), 0.0, np.zeros(1))
-
-
-def test_euler_reports_nonfinite():
-    p = _free_problem(1, Diffusion.scalar(1.0), mu=lambda t, x: x * np.inf)
-    with pytest.raises(NumericError):
-        euler_step(p, 0.0, np.ones(1), 0.1, np.zeros(1))
-
-
 # -- path simulation ----------------------------------------------------------
 
 def test_frozen_paths_under_zero_coefficients():
     p = ProblemSpec(
-        name="test", d=2, T=1.0, mu=None, sigma=Diffusion.scalar(0.0),
+        name="test", d=2, T=1.0, sigma=0.0,
         f=None, g=lambda x: np.zeros(x.shape[0]),
         xi=XiSampler.point_mass(np.array([1.5, -2.0])), exact=None,
     )
@@ -329,7 +295,7 @@ def test_frozen_paths_under_zero_coefficients():
 
 
 def test_telescoping_sum_of_increments():
-    p = _free_problem(1, Diffusion.scalar(1.0))
+    p = _free_problem(1, 1.0)
     grid = make_uniform_grid(1.0, 8)
     paths, incs = simulate_paths(p, grid, 16, RngStream(3))
     x = paths.states[:, 0, :].copy()
@@ -339,14 +305,14 @@ def test_telescoping_sum_of_increments():
 
 
 def test_terminal_variance_matches_brownian_law():
-    p = _free_problem(1, Diffusion.scalar(1.0))
+    p = _free_problem(1, 1.0)
     paths, _ = simulate_paths(p, make_uniform_grid(1.0, 10), 100_000, RngStream(8))
     var = paths.states[:, -1, 0].var()
     assert abs(var - 1.0) < 0.03
 
 
 def test_increment_statistics():
-    p = _free_problem(3, Diffusion.scalar(1.0))
+    p = _free_problem(3, 1.0)
     grid = make_uniform_grid(1.0, 4)
     _, incs = simulate_paths(p, grid, 100_000, RngStream(12))
     dt = 0.25
@@ -360,25 +326,35 @@ def test_increment_statistics():
             assert abs(col.var() - dt) < 4 * se_var
 
 
-def test_euler_recursion_reproduces_paths_bitwise():
+def test_paths_accumulate_scaled_increments_bitwise():
     p = ProblemSpec(
-        name="test", d=2, T=1.0, mu=lambda t, x: -0.5 * x,
-        sigma=Diffusion.scalar(lambda t, x: 1.0 + 0.5 * np.tanh(x[:, 0])),
+        name="test", d=2, T=1.0, sigma=1.7,
         f=None, g=lambda x: np.zeros(x.shape[0]),
         xi=XiSampler.uniform_box(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
         exact=None,
     )
     grid = make_uniform_grid(1.0, 6)
     paths, incs = simulate_paths(p, grid, 32, RngStream(21))
-    x = paths.states[:, 0, :]
     for n in range(6):
-        dt = float(grid.times[n + 1] - grid.times[n])
-        x = euler_step(p, float(grid.times[n]), x, dt, incs.increments[:, n, :])
-        assert np.array_equal(x, paths.states[:, n + 1, :])
+        want = paths.states[:, n, :] + 1.7 * incs.increments[:, n, :]
+        assert np.array_equal(paths.states[:, n + 1, :], want)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_overflowing_paths_name_the_first_bad_sample():
+    # the same stream with s = 1 gives the increments; s = 1e308 overflows
+    # the running sum of some samples, and the first of them is named
+    grid = make_uniform_grid(1.0, 4)
+    _, incs = simulate_paths(_free_problem(2, 1.0), grid, 64, RngStream(3))
+    sums = np.cumsum(1e308 * incs.increments, axis=1)
+    first = int(np.flatnonzero(~np.isfinite(sums).all(axis=(1, 2)))[0])
+    assert first > 0
+    with pytest.raises(NumericError, match=f"non-finite state in sample {first}$"):
+        simulate_paths(_free_problem(2, 1e308), grid, 64, RngStream(3))
 
 
 def test_seed_determinism():
-    p = _free_problem(2, Diffusion.scalar(np.sqrt(2.0)))
+    p = _free_problem(2, np.sqrt(2.0))
     grid = make_uniform_grid(1.0, 5)
     a_paths, a_incs = simulate_paths(p, grid, 64, RngStream(99))
     b_paths, b_incs = simulate_paths(p, grid, 64, RngStream(99))
@@ -388,8 +364,7 @@ def test_seed_determinism():
 
 def test_parallel_simulation_matches_serial():
     p = ProblemSpec(
-        name="test", d=3, T=1.0, mu=lambda t, x: 0.1 * x,
-        sigma=Diffusion.scalar(np.sqrt(2.0)),
+        name="test", d=3, T=1.0, sigma=np.sqrt(2.0),
         f=None, g=lambda x: np.zeros(x.shape[0]),
         xi=XiSampler.uniform_box(-np.ones(3), np.ones(3)), exact=None,
     )
@@ -406,13 +381,13 @@ def test_parallel_simulation_matches_serial():
 
 
 def test_simulation_rejects_empty_batch():
-    p = _free_problem(1, Diffusion.scalar(1.0))
+    p = _free_problem(1, 1.0)
     with pytest.raises((ConfigError, ShapeError)):
         simulate_paths(p, make_uniform_grid(1.0, 2), 0, RngStream(1))
 
 
 def test_simulation_chunk_needs_contiguous_increments():
-    p = _free_problem(2, Diffusion.scalar(1.0))
+    p = _free_problem(2, 1.0)
     grid = make_uniform_grid(1.0, 3)
     states = np.empty((4, 4, 2))
     incs = np.empty((4, 2, 3)).transpose(0, 2, 1)

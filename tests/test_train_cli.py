@@ -604,6 +604,23 @@ def test_cli_oracle_non_finite_half_width_exits_2(tmp_path, capsys, width):
     assert not (tmp_path / "o.json").exists()
 
 
+@pytest.mark.parametrize("problem, flags", [
+    ("heat", ["--lambda", "5"]),
+    ("heat", ["--grid", "50"]),
+    ("hjb", ["--steps", "3"]),
+    ("hjb", ["--grid", "50"]),
+    ("allen_cahn", ["--samples", "7"]),
+    ("allen_cahn", ["--steps", "3"]),
+    ("allen_cahn", ["--lambda", "1"]),
+])
+def test_cli_oracle_flag_its_route_never_reads_exits_2(tmp_path, capsys, problem, flags):
+    code = main(["oracle", "--problem", problem, "--d", "1", *flags,
+                 "--out", str(tmp_path / "o.json")])
+    assert code == 2
+    assert f"{flags[0]} has no effect" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_cli_eval_round_trip(tmp_path, capsys):
     cfg_path = _write_config(tmp_path)
     out = tmp_path / "out"
@@ -643,6 +660,18 @@ def test_cli_eval_box_start_rebuilds_the_trained_problem(tmp_path, capsys):
     assert stdout.splitlines()[0].startswith(f"u(0, xi) = {mean:.10g} ")
     # a box start has no single point to compare the exact solution at
     assert "exact:" not in stdout
+
+
+@pytest.mark.parametrize("mode, xi_mode", [("deterministic_xi", "box"),
+                                           ("general_xi", "point")])
+def test_cli_eval_bank_that_disagrees_with_its_start_law_exits_2(tmp_path, capsys,
+                                                                 mode, xi_mode):
+    # a scalar y0 has no spread over a box law, and a box bank no single value
+    path = tmp_path / "params.json"
+    save_params(_fresh_bank(mode), {"problem": "heat", "xi_mode": xi_mode}, path)
+    code = main(["eval", "--params", str(path), "--problem", "heat"])
+    assert code == 2
+    assert f"archive's bank is {mode}" in capsys.readouterr().err
 
 
 def test_cli_eval_bare_archive_uses_problem_defaults(tmp_path, capsys):
