@@ -56,26 +56,26 @@ def cmd_oracle(args):
         overrides["lambda"] = lam
     problem = get_problem(args.problem, args.d, overrides)
     x0 = problem.xi.point
-    stream = RngStream(args.seed)
 
     if problem.f is None:
-        method, reads = "mc_feynman_kac", ("samples", "steps")
+        method, reads = "mc_feynman_kac", ("samples", "steps", "seed")
     elif args.problem == "hjb":
-        method, reads = "cole_hopf_mc", ("samples", "lam")
+        method, reads = "cole_hopf_mc", ("samples", "lam", "seed")
     else:
         method, reads = "fd_semilinear_1d", ("grid",)
     # like a config key that changes nothing, a flag the route never reads is an error
     for flag, key in (("--samples", "samples"), ("--steps", "steps"),
-                      ("--lambda", "lam"), ("--grid", "grid")):
+                      ("--lambda", "lam"), ("--grid", "grid"), ("--seed", "seed")):
         if getattr(args, key) is not None and key not in reads:
             raise ConfigError(f"{flag} has no effect on the {method} route of '{args.problem}'")
     samples = 100000 if args.samples is None else args.samples
+    seed = 0 if args.seed is None and "seed" in reads else args.seed
 
     if method == "mc_feynman_kac":
         grid = make_uniform_grid(args.T, 20 if args.steps is None else args.steps)
-        est = mc_feynman_kac(problem, x0, samples, grid, stream)
+        est = mc_feynman_kac(problem, x0, samples, grid, RngStream(seed))
     elif method == "cole_hopf_mc":
-        est = cole_hopf_mc(lam, problem.g, x0, args.T, samples, stream)
+        est = cole_hopf_mc(lam, problem.g, x0, args.T, samples, RngStream(seed))
     else:
         if args.d != 1:
             raise ConfigError(
@@ -88,7 +88,7 @@ def cmd_oracle(args):
     print(f"{method}: u(0, x0) = {est.value:.10g} +/- {est.stderr:.4g}")
     record = {
         "method": method, "problem": args.problem, "d": args.d, "T": args.T,
-        "x0": x0.tolist(), "seed": args.seed,
+        "x0": x0.tolist(), "seed": seed,
         "value": est.value, "stderr": est.stderr, "info": est.info,
     }
     if args.problem == "hjb":
@@ -149,7 +149,8 @@ def build_parser():
     p_oracle.add_argument("--T", type=float, default=1.0)
     p_oracle.add_argument("--steps", type=int, default=None,
                           help="path time steps for the Feynman-Kac route (default 20)")
-    p_oracle.add_argument("--seed", type=int, default=0)
+    p_oracle.add_argument("--seed", type=int, default=None,
+                          help="Monte Carlo routes only (default 0)")
     p_oracle.add_argument("--out", default="oracle_summary.json")
     p_oracle.set_defaults(func=cmd_oracle)
 

@@ -209,8 +209,8 @@ class SubnetBank:
         return 0 if self.sharing == "shared" else n
 
     def tensor_items(self):
-        """(name, view into theta) pairs in flatten order; the wire naming
-        of archives."""
+        """(name, view into theta) pairs in flatten order; the names that
+        gradient messages and tests use for theta's tensors."""
         return list(self._items)
 
 

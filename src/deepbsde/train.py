@@ -4,9 +4,12 @@ Metrics are CSV with the fixed header `step,loss,y0,grad_norm,lr,elapsed_s`,
 every real printed with 17 significant digits (round-trip exact) and every
 row flushed on write, so an aborted run keeps everything logged so far.
 
-Archives are JSON: {"version": 1, "config": {...}, "tensors": [...]} with
-tensors named and ordered exactly as the bank flattens. The embedded config
-carries the architecture fingerprint; loading rejects any mismatch.
+Archives are JSON: {"version": 2, "config": {...}, "theta": "..."}, where
+"theta" is the base64 of the bank's flat vector as little-endian float64.
+The embedded config carries the architecture fingerprint, which fixes every
+tensor's name, shape and offset in theta; loading rebuilds the bank from it
+and rejects a theta of any other length. Version 1 (per-tensor text) is
+refused, not read.
 `loss_curve.csv`, `params.json` and `run_summary.json` are written to a
 temporary file and moved into place, so a crash never leaves a half-written
 one; a run first removes all four artifacts of any earlier run in its
@@ -17,6 +20,7 @@ elapsed_s column reports real seconds, with a supplied deterministic clock
 two identical runs produce byte-identical metrics files.
 """
 
+import base64
 import json
 import os
 import time
@@ -74,12 +78,6 @@ def write_metrics(records, path):
             fh.flush()
 
 
-def _tensor_json(name, arr):
-    shape = ",".join(str(int(s)) for s in arr.shape)
-    data = ("%.17g," * arr.size % tuple(arr.ravel().tolist()))[:-1]
-    return '{"name": %s, "shape": [%s], "data": [%s]}' % (json.dumps(name), shape, data)
-
-
 # a bank's constructor arguments, stored in the archive as its fingerprint
 _ARCHITECTURE = ("mode", "sharing", "d", "num_steps", "hidden", "activation")
 
@@ -93,11 +91,9 @@ def save_params(bank, config_extra, path):
     (the bank's architecture fingerprint always wins on overlap)."""
     config = dict(config_extra or {})
     config.update(_fingerprint(bank))
-    tensors = ",\n    ".join(_tensor_json(name, arr) for name, arr in bank.tensor_items())
-    body = (
-        '{\n"version": 1,\n"config": %s,\n"tensors": [\n    %s\n]\n}\n'
-        % (json.dumps(config, sort_keys=True), tensors)
-    )
+    theta = base64.b64encode(bank.theta.astype("<f8", copy=False).tobytes()).decode("ascii")
+    body = '{\n"version": 2,\n"config": %s,\n"theta": "%s"\n}\n' % (
+        json.dumps(config, sort_keys=True), theta)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     _write_atomic(path, body)
@@ -127,8 +123,9 @@ def load_archive(path):
     if not isinstance(doc, dict):
         raise ConfigError(f"archive {path} is not a JSON object")
     version = doc.get("version")
-    if version != 1:
-        raise ConfigError(f"unsupported archive version {version!r} (expected 1)")
+    if version != 2:
+        note = " (per-tensor text) is no longer read" if version == 1 else " is not read"
+        raise ConfigError(f"archive version {version!r}{note}; expected version 2")
     config = doc.get("config")
     if not isinstance(config, dict):
         raise ConfigError("archive has no embedded config")
@@ -142,43 +139,21 @@ def load_archive(path):
     if type(config["hidden"]) is not list or any(type(w) is not int for w in config["hidden"]):
         raise ConfigError(f"archive config 'hidden' must be a list of integers, got {config['hidden']!r}")
     bank = SubnetBank(**{key: config[key] for key in _ARCHITECTURE})
-    tensors = doc.get("tensors", [])
-    if not isinstance(tensors, list):
-        raise ConfigError(f"archive 'tensors' must be a list, got {type(tensors).__name__}")
-    stored = {}
-    for k, entry in enumerate(tensors):
-        if not isinstance(entry, dict) or not {"name", "shape", "data"} <= entry.keys():
-            raise ConfigError(f"archive tensor entry {k} lacks name, shape or data")
-        name = entry["name"]
-        if not isinstance(name, str):
-            raise ConfigError(
-                f"archive tensor entry {k} name must be a string, got {type(name).__name__}")
-        if name in stored:
-            raise ConfigError(f"archive lists tensor '{name}' twice")
-        stored[name] = (entry["shape"], entry["data"])
-    for name, view in bank.tensor_items():
-        if name not in stored:
-            raise ConfigError(f"archive lacks tensor '{name}'")
-        shape, data = stored.pop(name)
-        if not isinstance(shape, list) or not isinstance(data, list):
-            raise ConfigError(f"tensor '{name}' needs a list shape and list data")
-        # bool is not a number here, and a string would convert silently
-        if not set(map(type, data)) <= {int, float}:
-            raise ConfigError(f"tensor '{name}' holds non-numeric data")
-        try:
-            values = np.asarray(data, dtype=np.float64)
-        except OverflowError as e:
-            raise ConfigError(f"tensor '{name}' holds a value beyond float range: {e}") from e
-        shape = tuple(shape)
-        if shape != view.shape:
-            raise ShapeError(f"tensor '{name}' has shape {shape}, expected {view.shape}")
-        if values.size != view.size:
-            raise ShapeError(f"tensor '{name}' carries {values.size} values, expected {view.size}")
-        if not np.all(np.isfinite(values)):
-            raise ConfigError(f"tensor '{name}' holds non-finite values")
-        view[...] = values.reshape(view.shape)
-    if stored:
-        raise ConfigError(f"archive has unexpected tensors: {sorted(stored)}")
+    theta = doc.get("theta")
+    if not isinstance(theta, str):
+        raise ConfigError(f"archive 'theta' must be a base64 string, got {type(theta).__name__}")
+    try:
+        raw = base64.b64decode(theta, validate=True)
+    except ValueError as e:
+        raise ConfigError(f"archive 'theta' is not valid base64: {e}") from e
+    if len(raw) != 8 * bank.theta.size:
+        raise ShapeError(f"archive 'theta' holds {len(raw)} bytes, expected "
+                         f"{8 * bank.theta.size} for {bank.theta.size} float64 values")
+    values = np.frombuffer(raw, dtype="<f8")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ConfigError(f"archive 'theta' entry {bad[0]} is non-finite ({values[bad[0]]})")
+    bank.theta[...] = values
     return bank, config
 
 

@@ -21,6 +21,19 @@ def max_rel_err(analytic, fd):
     return float(np.max(np.abs(analytic - fd) / (np.abs(fd) + 1e-12)))
 
 
+def machine():
+    """numpy's version and the highest SIMD target it dispatches to here.
+
+    Pinned bytes of normals, paths and training artifacts depend on both, so
+    the pin tests pass this as their assertion message: a mismatch then
+    names the machine beside the one the pins were taken on.
+    """
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    enabled = [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
+    here = f"numpy {np.__version__}, top dispatch target {enabled[-1] if enabled else 'baseline'}"
+    return f"{here}; the pins were taken on numpy 2.4.6, top dispatch target AVX512_SPR"
+
+
 @pytest.fixture
 def tmp_out(tmp_path):
     return tmp_path / "out"

@@ -21,6 +21,8 @@ from deepbsde.sde import (
     simulate_paths,
 )
 
+from conftest import machine
+
 
 def _free_problem(d, sigma, g=None):
     return ProblemSpec(
@@ -176,15 +178,15 @@ SIMULATE_PINS = {
 @pytest.mark.parametrize("n", sorted(STREAM_PINS))
 def test_stream_draws_pinned(n):
     normals, uniforms = STREAM_PINS[n]
-    assert _digest(RngStream(2024).normals(n)) == normals
-    assert _digest(RngStream(2024).uniforms(n)) == uniforms
+    assert _digest(RngStream(2024).normals(n)) == normals, machine()
+    assert _digest(RngStream(2024).uniforms(n)) == uniforms, machine()
 
 
 @pytest.mark.parametrize("lo, hi, n", sorted(BLOCK_PINS))
 def test_block_draws_pinned(lo, hi, n):
     normals, uniforms = BLOCK_PINS[(lo, hi, n)]
-    assert _digest(block_normals(RngStream(77), 4, lo, hi, n)) == normals
-    assert _digest(block_uniforms(RngStream(77), 4, lo, hi, n)) == uniforms
+    assert _digest(block_normals(RngStream(77), 4, lo, hi, n)) == normals, machine()
+    assert _digest(block_uniforms(RngStream(77), 4, lo, hi, n)) == uniforms, machine()
 
 
 @pytest.mark.parametrize("key", sorted(SIMULATE_PINS))
@@ -192,7 +194,7 @@ def test_simulated_paths_pinned(key):
     name, d, batch, steps, overrides = key
     p = get_problem(name, d, dict(overrides))
     paths, incs = simulate_paths(p, make_uniform_grid(p.T, steps), batch, RngStream(31))
-    assert (_digest(paths.states), _digest(incs.increments)) == SIMULATE_PINS[key]
+    assert (_digest(paths.states), _digest(incs.increments)) == SIMULATE_PINS[key], machine()
 
 
 def test_normals_split_across_a_pass_boundary():

@@ -1,9 +1,11 @@
 """Training loop artifacts, parameter archives, and the command-line surface."""
 
+import base64
 import hashlib
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -25,10 +27,11 @@ from deepbsde.train import (
     format_metrics_row,
     load_archive,
     run_train,
-    _tensor_json,
     save_params,
     write_metrics,
 )
+
+from conftest import machine
 
 TINY = """
 problem = heat
@@ -97,6 +100,10 @@ def _fresh_bank(mode="general_xi", sharing="independent"):
     return SubnetBank.create(mode, sharing, d=3, num_steps=4, hidden=(5, 5), seed=42)
 
 
+def _b64(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
 def test_archive_round_trip_bitwise(tmp_path):
     bank = _fresh_bank()
     path = tmp_path / "params.json"
@@ -108,7 +115,7 @@ def test_archive_round_trip_bitwise(tmp_path):
         assert np.array_equal(arr_a, arr_b)
     assert config["note"] == "kept"
     assert config["mode"] == "general_xi"
-    assert json.loads(path.read_text())["version"] == 1
+    assert json.loads(path.read_text())["version"] == 2
 
 
 def test_archive_round_trip_shared_and_deterministic(tmp_path):
@@ -123,118 +130,129 @@ def test_archive_round_trip_shared_and_deterministic(tmp_path):
             assert np.array_equal(a, b)
 
 
-def test_archive_rejects_wrong_version(tmp_path):
-    bank = _fresh_bank()
+def test_archive_theta_is_little_endian_float64_in_flatten_order(tmp_path):
+    # y0 first, then z0, whatever the host's byte order
+    bank = SubnetBank.create("deterministic_xi", "independent", d=3, num_steps=1, hidden=(5,))
+    bank.y0[...] = 1.5
+    bank.z0[...] = [0.25, -0.5, 2.0]
     path = tmp_path / "params.json"
     save_params(bank, {}, path)
-    blob = json.loads(path.read_text())
-    blob["version"] = 2
-    path.write_text(json.dumps(blob))
-    with pytest.raises(ConfigError, match="version"):
-        load_archive(path)
+    wire = base64.b64encode(struct.pack("<4d", 1.5, 0.25, -0.5, 2.0)).decode("ascii")
+    assert json.loads(path.read_text())["theta"] == wire
 
 
-def test_archive_rejects_tampered_shape(tmp_path):
-    bank = _fresh_bank()
-    path = tmp_path / "params.json"
-    save_params(bank, {}, path)
-    blob = json.loads(path.read_text())
-    victim = next(t for t in blob["tensors"] if t["name"] == "phi_1.layer_0.weight")
-    victim["data"] = victim["data"][:-1]
-    path.write_text(json.dumps(blob))
-    with pytest.raises(ShapeError, match="phi_1.layer_0.weight"):
-        load_archive(path)
+# the non-finite value goes into the middle of theta, where the message must find it
+_NON_FINITE = {"NaN": np.nan, "Infinity": np.inf, "-Infinity": -np.inf}
+
+# each of these replaces the base64 string, except that "entry_without_data"
+# drops the field and "non_numeric" slips its "#" into the middle of the good
+# string, where a decoder that does not validate would skip it
+_NOT_BASE64 = {"entry_without_data": None, "null_data": None, "bool_value": True,
+               "huge_integer": 10 ** 400, "nested_garbage": [0.5, {"k": None}],
+               "non_numeric": "#", "numeric_string": "0.5"}
+
+DAMAGES = ["NaN", "Infinity", "-Infinity", "truncated", "not_an_object", *_NOT_BASE64]
+
+# the damages that the tests of theta's length and of the version add
+MORE_DAMAGES = ["one_float_short", "one_float_extra", "empty_theta", "version_1", "version_3"]
 
 
-def test_archive_rejects_unexpected_tensor(tmp_path):
-    bank = _fresh_bank()
-    path = tmp_path / "params.json"
-    save_params(bank, {}, path)
-    blob = json.loads(path.read_text())
-    blob["tensors"].append({"name": "phi_99.layer_0.weight", "shape": [1], "data": [0.0]})
-    path.write_text(json.dumps(blob))
-    with pytest.raises((ConfigError, ShapeError)):
-        load_archive(path)
-
-
-def _edit_tensor(path, tensor, pattern, replacement):
-    """Hand-edit the archive: the first match of `pattern` in the line of
-    `tensor` becomes `replacement`."""
-    lines = path.read_text().splitlines()
-    row = next(i for i, line in enumerate(lines) if f'"name": "{tensor}"' in line)
-    lines[row] = re.sub(pattern, lambda m: replacement, lines[row], count=1)
-    path.write_text("\n".join(lines) + "\n")
-
-
-DAMAGES = ["NaN", "Infinity", "-Infinity", "truncated", "not_an_object",
-           "entry_without_name", "entry_without_shape", "entry_without_data",
-           "non_numeric", "nested_garbage", "null_data", "null_shape",
-           "bool_value", "numeric_string", "huge_integer"]
-
-# the first value of a tensor becomes this token
-_FIRST_VALUE = {"NaN": "NaN", "Infinity": "Infinity", "-Infinity": "-Infinity",
-                "non_numeric": '"x"', "nested_garbage": '[0.5, {"k": null}]',
-                "bool_value": "true", "numeric_string": '"0.5"',
-                "huge_integer": "1" + "0" * 400}
-
-
-def _damage_archive(path, kind, tensor):
-    """Corrupt the archive as a hand edit or a crash mid-write could; returns
-    a pattern the ConfigError message matches."""
+def _damage_archive(path, kind):
+    """Corrupt a saved archive as a hand edit or a crash mid-write could;
+    returns the error load_archive raises and a pattern its message matches."""
     text = path.read_text()
-    if kind in _FIRST_VALUE:
-        _edit_tensor(path, tensor, r'(?<="data": \[)[^,\]]+', _FIRST_VALUE[kind])
-        assert _FIRST_VALUE[kind] in path.read_text()
-        if kind in ("non_numeric", "nested_garbage", "bool_value", "numeric_string"):
-            return f"'{tensor}' holds non-numeric data"
-        if kind == "huge_integer":
-            return f"'{tensor}' holds a value beyond float range"
-        return f"'{tensor}' holds non-finite values"
-    if kind in ("null_data", "null_shape"):
-        field = kind.split("_")[1]
-        _edit_tensor(path, tensor, rf'"{field}": \[[^\]]*\]', f'"{field}": null')
-        return f"'{tensor}' needs a list shape and list data"
+    doc = json.loads(text)
+    theta = np.frombuffer(base64.b64decode(doc["theta"]), dtype="<f8")
     if kind == "truncated":
         path.write_text(text[: len(text) // 2])
-        return "not valid JSON"
+        return ConfigError, "not valid JSON"
     if kind == "not_an_object":
         path.write_text("[]\n")
-        return "not a JSON object"
-    field = {
-        "entry_without_name": r'"name": "[^"]*", ',
-        "entry_without_shape": r'"shape": \[[^\]]*\], ',
-        "entry_without_data": r', "data": \[[^\]]*\]',
-    }[kind]
-    path.write_text(re.sub(field, "", text, count=1))
-    return "tensor entry 0 lacks name, shape or data"
+        return ConfigError, "not a JSON object"
+    error = ConfigError
+    if kind in _NON_FINITE:
+        bad = theta.copy()
+        bad[theta.size // 2] = _NON_FINITE[kind]
+        doc["theta"] = _b64(bad)
+        message = f"'theta' entry {theta.size // 2} is non-finite"
+    elif kind in _NOT_BASE64:
+        value = _NOT_BASE64[kind]
+        if kind == "entry_without_data":
+            del doc["theta"]
+        elif kind == "non_numeric":
+            doc["theta"] = doc["theta"][:8] + value + doc["theta"][8:]
+        else:
+            doc["theta"] = value
+        if isinstance(value, str):
+            message = "'theta' is not valid base64"
+        else:
+            message = f"'theta' must be a base64 string, got {type(value).__name__}"
+    elif kind.startswith("version_"):
+        doc["version"] = int(kind[-1])
+        message = (r"archive version 1 \(per-tensor text\) is no longer read; expected version 2"
+                   if kind == "version_1" else "archive version 3 is not read; expected version 2")
+    else:
+        stored = {"one_float_short": theta[:-1], "one_float_extra": np.append(theta, 0.5),
+                  "empty_theta": theta[:0]}[kind]
+        doc["theta"] = _b64(stored)
+        error = ShapeError
+        message = (f"'theta' holds {8 * stored.size} bytes, expected {8 * theta.size} "
+                   f"for {theta.size} float64 values")
+    path.write_text(json.dumps(doc))
+    return error, message
+
+
+def _assert_rejected(tmp_path, kind):
+    path = tmp_path / "params.json"
+    save_params(_fresh_bank(), {}, path)
+    error, message = _damage_archive(path, kind)
+    with pytest.raises(error, match=message):
+        load_archive(path)
 
 
 @pytest.mark.parametrize("token", DAMAGES)
 def test_archive_rejects_non_finite_tensor(tmp_path, token):
-    bank = _fresh_bank()
-    path = tmp_path / "params.json"
-    save_params(bank, {}, path)
-    message = _damage_archive(path, token, "phi_1.layer_0.weight")
-    with pytest.raises(ConfigError, match=message):
-        load_archive(path)
+    _assert_rejected(tmp_path, token)
 
 
-def test_archive_values_print_as_17_significant_digits():
-    values = np.array([0.0, -0.0, 5e-324, 1e-05, 123.0, 1e16])
-    text = _tensor_json("w", values.reshape(2, 3))
-    expected = ",".join(format(v, ".17g") for v in values)
-    assert text == '{"name": "w", "shape": [2,3], "data": [%s]}' % expected
-    assert expected == "0,-0,4.9406564584124654e-324,1.0000000000000001e-05,123,10000000000000000"
+def test_archive_rejects_wrong_version(tmp_path):
+    # version 1 stored each tensor as text; it is refused, not converted
+    for kind in ("version_1", "version_3"):
+        _assert_rejected(tmp_path, kind)
+
+
+def test_archive_rejects_tampered_shape(tmp_path):
+    _assert_rejected(tmp_path, "one_float_short")
+
+
+def test_archive_rejects_unexpected_tensor(tmp_path):
+    _assert_rejected(tmp_path, "one_float_extra")
+
+
+def test_archive_rejects_missing_tensor(tmp_path):
+    _assert_rejected(tmp_path, "empty_theta")
 
 
 @pytest.mark.parametrize("name", ["point_independent", "box_shared"])
 def test_archive_from_per_tensor_layout_round_trips_bytewise(tmp_path, name):
-    # written by run_train before the bank's tensors became views of one
-    # flat vector (commit f519a70): names, order and values must carry over
+    # written by run_train in archive version 1, before the bank's tensors
+    # became views of one flat vector (commit f519a70): read here as the
+    # reference for the names and order of theta's tensors
     source = Path(__file__).parent / "data" / f"params_{name}.json"
-    bank, config = load_archive(source)
-    save_params(bank, config, tmp_path / "params.json")
-    assert (tmp_path / "params.json").read_bytes() == source.read_bytes()
+    doc = json.loads(source.read_text())
+    bank = SubnetBank(**{key: doc["config"][key] for key in
+                         ("mode", "sharing", "d", "num_steps", "hidden", "activation")})
+    views = dict(bank.tensor_items())
+    assert [t["name"] for t in doc["tensors"]] == list(views)
+    for tensor in doc["tensors"]:
+        views[tensor["name"]][...] = np.reshape(tensor["data"], tensor["shape"])
+    in_file_order = np.concatenate([np.ravel(t["data"]) for t in doc["tensors"]])
+    assert in_file_order.tobytes() == bank.theta.tobytes()
+    save_params(bank, doc["config"], tmp_path / "params.json")
+    loaded, _ = load_archive(tmp_path / "params.json")
+    assert loaded.theta.tobytes() == bank.theta.tobytes()
+    with pytest.raises(ConfigError, match=r"archive version 1 \(per-tensor text\)"):
+        load_archive(source)
 
 
 def test_save_params_failure_keeps_previous_archive(tmp_path, monkeypatch):
@@ -251,28 +269,6 @@ def test_save_params_failure_keeps_previous_archive(tmp_path, monkeypatch):
         save_params(_fresh_bank("deterministic_xi"), {"note": "new"}, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["params.json"]
-
-
-def test_archive_rejects_missing_tensor(tmp_path):
-    bank = _fresh_bank()
-    path = tmp_path / "params.json"
-    save_params(bank, {}, path)
-    blob = json.loads(path.read_text())
-    del blob["tensors"][2]
-    path.write_text(json.dumps(blob))
-    with pytest.raises((ConfigError, ShapeError)):
-        load_archive(path)
-
-
-def test_archive_rejects_a_tensor_listed_twice(tmp_path):
-    # a second z0 entry once replaced the first without a word
-    path = tmp_path / "params.json"
-    save_params(_fresh_bank("deterministic_xi"), {}, path)
-    blob = json.loads(path.read_text())
-    blob["tensors"].append(dict(next(t for t in blob["tensors"] if t["name"] == "z0")))
-    path.write_text(json.dumps(blob))
-    with pytest.raises(ConfigError, match="archive lists tensor 'z0' twice"):
-        load_archive(path)
 
 
 def test_archive_keeps_the_architecture_of_a_bank_without_networks(tmp_path):
@@ -377,13 +373,13 @@ ARTIFACT_PINS = {
     "problem = heat\nd = 3\nN = 10\nbatch = 32\niterations = 60\nseed = 1\n"
     "xi_mode = box\nbox_low = -1, -0.5, 0\nsharing = shared\nactivation = relu\n"
     "optimizer = sgd\ngrad_clip = 0.5\n":
-        ("11591c59b2ea", "f4a0b785e1d3", "5bb35fe8f27c", "44511cb4c8ed"),
+        ("11591c59b2ea", "f4a0b785e1d3", "efac5940b807", "44511cb4c8ed"),
     "problem = heat\nd = 2\nN = 10\nbatch = 32\niterations = 80\nseed = 1\n"
     "xi_mode = box\nlr_values = 0.01, 0.003\nlr_boundaries = 40\n":
-        ("bf65904c8bd2", "52062b8e463f", "f4d969771c22", "75cc1b0f939e"),
+        ("bf65904c8bd2", "52062b8e463f", "983e70da2693", "75cc1b0f939e"),
     "problem = hjb\nd = 3\nN = 10\nbatch = 32\niterations = 60\nseed = 1\n"
     "lambda = 2.5\nT = 0.5\nxi0 = 0.1, 0.2, 0.3\n":
-        ("8a19bf4d5b8c", "67d07bc68ac5", "3d27a89babf6", "1410c91920f9"),
+        ("8a19bf4d5b8c", "67d07bc68ac5", "83f291d3c261", "1410c91920f9"),
 }
 
 
@@ -400,7 +396,7 @@ def test_training_artifacts_keep_their_bytes(tmp_path, text):
         hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:12]
         for name in ("metrics.csv", "loss_curve.csv", "params.json", "run_summary.json")
     )
-    assert digests == ARTIFACT_PINS[text]
+    assert digests == ARTIFACT_PINS[text], machine()
 
 
 def test_archive_deterministic_even_with_real_clock(tmp_path):
@@ -592,6 +588,8 @@ def test_cli_oracle_fd_route(tmp_path, capsys):
     assert "fd_semilinear_1d" in stdout
     record = json.loads((tmp_path / "o.json").read_text())
     assert record["stderr"] == 0.0
+    # the march draws nothing, so the record names no seed
+    assert record["seed"] is None
 
 
 @pytest.mark.parametrize("width", ["nan", "inf"])
@@ -612,6 +610,7 @@ def test_cli_oracle_non_finite_half_width_exits_2(tmp_path, capsys, width):
     ("allen_cahn", ["--samples", "7"]),
     ("allen_cahn", ["--steps", "3"]),
     ("allen_cahn", ["--lambda", "1"]),
+    ("allen_cahn", ["--seed", "5"]),
 ])
 def test_cli_oracle_flag_its_route_never_reads_exits_2(tmp_path, capsys, problem, flags):
     code = main(["oracle", "--problem", problem, "--d", "1", *flags,
@@ -705,10 +704,10 @@ def test_cli_eval_non_finite_archive_exits_2(tmp_path, capsys):
     assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
     capsys.readouterr()
     archive = (out / "params.json").read_text()
-    for kind in DAMAGES:
+    for kind in DAMAGES + MORE_DAMAGES:
         damaged = tmp_path / f"{kind}.json"
         damaged.write_text(archive)
-        message = _damage_archive(damaged, kind, "y0")
+        _, message = _damage_archive(damaged, kind)
         code = main(["eval", "--params", str(damaged), "--problem", "heat"])
         assert code == 2, kind
         assert re.search(message, capsys.readouterr().err), kind
@@ -728,21 +727,6 @@ def test_cli_eval_bad_architecture_field_exits_2(tmp_path, capsys):
         code = main(["eval", "--params", str(damaged), "--problem", "heat"])
         assert code == 2, (key, value)
         assert f"archive config '{key}' must be" in capsys.readouterr().err, (key, value)
-
-
-@pytest.mark.parametrize("tensors, message", [
-    (5, "archive 'tensors' must be a list, got int"),
-    (None, "archive 'tensors' must be a list, got NoneType"),
-    ([{"name": ["y0"], "shape": [], "data": [0.0]}], "entry 0 name must be a string, got list"),
-], ids=["5", "null", "list_name"])
-def test_cli_eval_malformed_tensor_list_exits_2(tmp_path, capsys, tensors, message):
-    # each of these once ended in a TypeError traceback with exit 1
-    path = tmp_path / "params.json"
-    save_params(_fresh_bank("deterministic_xi"), {"problem": "heat"}, path)
-    path.write_text(json.dumps({**json.loads(path.read_text()), "tensors": tensors}))
-    code = main(["eval", "--params", str(path), "--problem", "heat"])
-    assert code == 2
-    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("setting",[{"T": "abc"}, {"T": True}, {"T": float("inf")},
