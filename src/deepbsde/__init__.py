@@ -36,7 +36,6 @@ from .problems import (
     exact_eval,
     get_problem,
     pde_residual,
-    with_point_start,
 )
 from .sde import (
     BrownianBatch,
@@ -108,6 +107,5 @@ __all__ = [
     "sgd_step",
     "simulate_paths",
     "unflatten_params",
-    "with_point_start",
     "write_metrics",
 ]

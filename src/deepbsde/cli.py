@@ -58,22 +58,22 @@ def cmd_oracle(args):
     x0 = problem.xi.point
 
     if problem.f is None:
-        method, reads = "mc_feynman_kac", ("samples", "steps", "seed")
+        method, reads = "mc_feynman_kac", ("samples", "seed")
     elif args.problem == "hjb":
         method, reads = "cole_hopf_mc", ("samples", "lam", "seed")
     else:
         method, reads = "fd_semilinear_1d", ("grid",)
     # like a config key that changes nothing, a flag the route never reads is an error
-    for flag, key in (("--samples", "samples"), ("--steps", "steps"),
-                      ("--lambda", "lam"), ("--grid", "grid"), ("--seed", "seed")):
+    for flag, key in (("--samples", "samples"), ("--lambda", "lam"), ("--grid", "grid"),
+                      ("--seed", "seed")):
         if getattr(args, key) is not None and key not in reads:
             raise ConfigError(f"{flag} has no effect on the {method} route of '{args.problem}'")
     samples = 100000 if args.samples is None else args.samples
     seed = 0 if args.seed is None and "seed" in reads else args.seed
 
     if method == "mc_feynman_kac":
-        grid = make_uniform_grid(args.T, 20 if args.steps is None else args.steps)
-        est = mc_feynman_kac(problem, x0, samples, grid, RngStream(seed))
+        # one step: x0 + s sqrt(T) Z is the exact law of X_T, so nothing finer is read
+        est = mc_feynman_kac(problem, x0, samples, make_uniform_grid(args.T, 1), RngStream(seed))
     elif method == "cole_hopf_mc":
         est = cole_hopf_mc(lam, problem.g, x0, args.T, samples, RngStream(seed))
     else:
@@ -138,7 +138,7 @@ def build_parser():
     p_oracle.add_argument("--x0", nargs="+", type=float, default=[0.0],
                           help="starting point; one value broadcasts to d")
     p_oracle.add_argument("--samples", type=int, default=None,
-                          help="Monte Carlo samples (default 100000)")
+                          help="Monte Carlo terminal draws (default 100000)")
     p_oracle.add_argument("--lambda", dest="lam", type=float, default=None,
                           help="hjb only (default 1)")
     p_oracle.add_argument("--grid", default=None, metavar="M,K,L",
@@ -147,8 +147,6 @@ def build_parser():
                                "default K = M at the default half width, more where the "
                                "driver's stability bound needs it), half width")
     p_oracle.add_argument("--T", type=float, default=1.0)
-    p_oracle.add_argument("--steps", type=int, default=None,
-                          help="path time steps for the Feynman-Kac route (default 20)")
     p_oracle.add_argument("--seed", type=int, default=None,
                           help="Monte Carlo routes only (default 0)")
     p_oracle.add_argument("--out", default="oracle_summary.json")

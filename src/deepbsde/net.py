@@ -16,6 +16,7 @@ vectors always line up:
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -142,28 +143,12 @@ class SubnetBank:
     """
 
     def __init__(self, mode, sharing, d, num_steps, hidden=None, activation="tanh"):
-        if mode not in MODES:
-            raise ConfigError(f"unknown mode '{mode}' (expected one of {MODES})")
-        if sharing not in SHARINGS:
-            raise ConfigError(f"unknown sharing '{sharing}' (expected one of {SHARINGS})")
-        if d < 1 or num_steps < 1:
-            raise ConfigError(f"need d >= 1 and num_steps >= 1, got d={d}, num_steps={num_steps}")
         self.mode, self.sharing, self.d, self.num_steps = mode, sharing, d, num_steps
         self.hidden = tuple(int(w) for w in (default_hidden(d) if hidden is None else hidden))
         self.activation = activation
-        z_config = MLPConfig((d, *self.hidden, d), activation)
-        if mode == "general_xi":
-            y0_config = MLPConfig((d, *self.hidden, 1), activation)
-            head, first = _layer_specs("psi0", y0_config), 0
-        else:
-            head, first = [("y0", (1,)), ("z0", (d,))], 1
-        networked_steps = num_steps - first
-        count = min(networked_steps, 1) if sharing == "shared" else networked_steps
-        labels = ["phi_shared" if sharing == "shared" else f"phi_{first + k}" for k in range(count)]
-        groups = [head] + [_layer_specs(label, z_config) for label in labels]
-        shapes = [shape for items in groups for _, shape in items]
-        ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
-        specs = iter(zip([0] + ends, ends, shapes))
+        y0_config, z_config, groups, ends = layout(mode, sharing, d, num_steps, self.hidden,
+                                                   activation)
+        specs = iter(zip([0] + ends, ends, [shape for items in groups for _, shape in items]))
         self._layout = [[next(specs) for _ in items] for items in groups]
         self.theta = np.zeros(ends[-1], dtype=np.float64)
         head_views, net_views = self.views(self.theta)
@@ -212,6 +197,30 @@ class SubnetBank:
         """(name, view into theta) pairs in flatten order; the names that
         gradient messages and tests use for theta's tensors."""
         return list(self._items)
+
+
+def layout(mode, sharing, d, num_steps, hidden, activation):
+    """(y0 config or None, z config, (name, shape) groups, end offsets in theta)
+    of a bank; it allocates nothing, so a loader can check a size first."""
+    if mode not in MODES:
+        raise ConfigError(f"unknown mode '{mode}' (expected one of {MODES})")
+    if sharing not in SHARINGS:
+        raise ConfigError(f"unknown sharing '{sharing}' (expected one of {SHARINGS})")
+    if d < 1 or num_steps < 1:
+        raise ConfigError(f"need d >= 1 and num_steps >= 1, got d={d}, num_steps={num_steps}")
+    z_config = MLPConfig((d, *hidden, d), activation)
+    if mode == "general_xi":
+        y0_config = MLPConfig((d, *hidden, 1), activation)
+        head, first = _layer_specs("psi0", y0_config), 0
+    else:
+        y0_config, head, first = None, [("y0", (1,)), ("z0", (d,))], 1
+    networked_steps = num_steps - first
+    count = min(networked_steps, 1) if sharing == "shared" else networked_steps
+    labels = ["phi_shared" if sharing == "shared" else f"phi_{first + k}" for k in range(count)]
+    groups = [head] + [_layer_specs(label, z_config) for label in labels]
+    # Python integers: a huge fingerprint gives its true size, not a wrapped one
+    ends = list(accumulate(math.prod(shape) for items in groups for _, shape in items))
+    return y0_config, z_config, groups, ends
 
 
 def _layer_specs(prefix, config):

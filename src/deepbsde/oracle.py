@@ -1,9 +1,9 @@
 """Independent reference solvers used to validate trained values.
 
 None of these touch networks, tapes, or the rollout code: the Monte Carlo
-routes ride on plain path simulation and closed-form reductions, and the 1-D
-route is a finite-difference march. Agreement between a trained value and an
-oracle is therefore evidence, not circularity.
+routes draw only the exact terminal points x0 + s W_T, and the 1-D route is
+a finite-difference march. Agreement between a trained value and an oracle
+is therefore evidence, not circularity.
 """
 
 import math
@@ -13,8 +13,10 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf as gttrf, dgttrs as gttrs
 
 from .errors import ConfigError, NumericError
-from .problems import with_point_start
-from .sde import PASS_SIZE, simulate_paths
+from .problems import as_vector
+# simulate_paths is no longer called here, but benchmarks/tracing.py wraps
+# it under this module's name, where it now sees no calls
+from .sde import PASS_SIZE, simulate_paths  # noqa: F401
 
 _MIN_SAMPLES = 100
 
@@ -29,8 +31,27 @@ class OracleEstimate:
     info: dict
 
 
+def _terminal_values(g, x0, scale, n_samples, stream):
+    """g(x0 + scale Z) for n_samples rows Z of d standard normals, drawn in
+    chunks of about one draw-kernel pass: the normals and the terminal
+    points stay in cache, and no full-size temporary is made."""
+    if n_samples < _MIN_SAMPLES:
+        raise ConfigError(f"need at least {_MIN_SAMPLES} samples, got {n_samples}")
+    d = x0.size
+    values = np.empty(n_samples, dtype=np.float64)
+    chunk = max(1, PASS_SIZE // d)
+    for lo in range(0, n_samples, chunk):
+        hi = min(lo + chunk, n_samples)
+        z = stream.normals((hi - lo) * d).reshape(hi - lo, d)
+        values[lo:hi] = np.asarray(g(x0 + scale * z), dtype=np.float64).reshape(hi - lo)
+    if not np.all(np.isfinite(values)):
+        raise NumericError("non-finite terminal values in Monte Carlo")
+    return values
+
+
 def mc_feynman_kac(problem, x0, n_samples, grid, stream):
-    """Plain Monte Carlo average of g over simulated paths from x0.
+    """Plain Monte Carlo average of g(x0 + s sqrt(T) Z), the exact law of X_T
+    from x0, with T = grid.horizon, the one value of the grid it reads.
 
     Valid only for a zero driver (f is None): with a driver the average of g
     no longer represents the solution, so that misuse is rejected.
@@ -39,17 +60,12 @@ def mc_feynman_kac(problem, x0, n_samples, grid, stream):
         raise ConfigError(
             f"problem '{problem.name}' has a nonzero driver; this estimator applies only to f == 0"
         )
-    if n_samples < _MIN_SAMPLES:
-        raise ConfigError(f"need at least {_MIN_SAMPLES} samples, got {n_samples}")
-    restarted = with_point_start(problem, x0)
-    paths, _ = simulate_paths(restarted, grid, n_samples, stream)
-    values = np.asarray(problem.g(paths.states[:, -1, :]), dtype=np.float64).reshape(n_samples)
-    if not np.all(np.isfinite(values)):
-        raise NumericError("non-finite terminal values in Monte Carlo average")
+    x0 = as_vector(x0, problem.d, "x0")
+    values = _terminal_values(problem.g, x0, problem.sigma * math.sqrt(grid.horizon),
+                              n_samples, stream)
     value = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(n_samples))
-    return OracleEstimate(value=value, stderr=stderr,
-                          info={"samples": int(n_samples), "time_steps": grid.num_steps})
+    return OracleEstimate(value=value, stderr=stderr, info={"samples": int(n_samples)})
 
 
 def cole_hopf_mc(lam, g, x0, horizon, n_samples, stream):
@@ -66,24 +82,8 @@ def cole_hopf_mc(lam, g, x0, horizon, n_samples, stream):
         raise ConfigError(f"lambda must be positive, got {lam}")
     if horizon <= 0.0:
         raise ConfigError(f"horizon must be positive, got {horizon}")
-    if n_samples < _MIN_SAMPLES:
-        raise ConfigError(f"need at least {_MIN_SAMPLES} samples, got {n_samples}")
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
-    d = x0.size
-    scale = math.sqrt(2.0 * horizon)
-
-    # chunks of about one draw-kernel pass: the normals and the terminal
-    # points stay in cache, and no full-size temporary is ever made
-    exponents = np.empty(n_samples, dtype=np.float64)
-    chunk = max(1, PASS_SIZE // d)
-    for lo in range(0, n_samples, chunk):
-        hi = min(lo + chunk, n_samples)
-        z = stream.normals((hi - lo) * d).reshape(hi - lo, d)
-        x_terminal = x0 + scale * z
-        exponents[lo:hi] = -lam * np.asarray(g(x_terminal), dtype=np.float64).reshape(hi - lo)
-    if not np.all(np.isfinite(exponents)):
-        raise NumericError("non-finite terminal exponents in control-problem Monte Carlo")
-
+    exponents = -lam * _terminal_values(g, x0, math.sqrt(2.0 * horizon), n_samples, stream)
     shift = float(np.max(exponents))
     weights = np.exp(exponents - shift)
     mean_w = float(np.mean(weights))

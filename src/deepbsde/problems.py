@@ -14,7 +14,7 @@ Conventions shared across the library:
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -303,8 +303,3 @@ def pde_residual(problem, t, x, step=1e-3):
         residual += float(fval.reshape(-1)[0])
     return residual
 
-
-def with_point_start(problem, x0):
-    """Same problem restarted from a point mass at x0."""
-    x0 = as_vector(x0, problem.d, "x0")
-    return replace(problem, xi=XiSampler.point_mass(x0))

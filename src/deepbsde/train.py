@@ -33,7 +33,7 @@ from .bsde import Tape, backward, estimate_u0, rollout_loss
 from .errors import ConfigError, NumericError, ShapeError
 # unflatten_params is no longer called here, but benchmarks/tracing.py times
 # it under this module's name, where it now reads 0 ms per step
-from .net import SubnetBank, param_count, unflatten_params  # noqa: F401
+from .net import SubnetBank, layout, param_count, unflatten_params  # noqa: F401
 from .optim import AdamState, adam_step, clip_by_global_norm, lr_at, sgd_step
 from .problems import as_vector
 from .sde import RngStream, make_uniform_grid, simulate_paths
@@ -82,15 +82,11 @@ def write_metrics(records, path):
 _ARCHITECTURE = ("mode", "sharing", "d", "num_steps", "hidden", "activation")
 
 
-def _fingerprint(bank):
-    return {key: getattr(bank, key) for key in _ARCHITECTURE}
-
-
 def save_params(bank, config_extra, path):
     """Write the archive; `config_extra` is merged into the embedded config
     (the bank's architecture fingerprint always wins on overlap)."""
     config = dict(config_extra or {})
-    config.update(_fingerprint(bank))
+    config.update({key: getattr(bank, key) for key in _ARCHITECTURE})
     theta = base64.b64encode(bank.theta.astype("<f8", copy=False).tobytes()).decode("ascii")
     body = '{\n"version": 2,\n"config": %s,\n"theta": "%s"\n}\n' % (
         json.dumps(config, sort_keys=True), theta)
@@ -138,7 +134,8 @@ def load_archive(path):
             raise ConfigError(f"archive config '{key}' must be an integer, got {config[key]!r}")
     if type(config["hidden"]) is not list or any(type(w) is not int for w in config["hidden"]):
         raise ConfigError(f"archive config 'hidden' must be a list of integers, got {config['hidden']!r}")
-    bank = SubnetBank(**{key: config[key] for key in _ARCHITECTURE})
+    fingerprint = {key: config[key] for key in _ARCHITECTURE}
+    size = layout(**fingerprint)[-1][-1]
     theta = doc.get("theta")
     if not isinstance(theta, str):
         raise ConfigError(f"archive 'theta' must be a base64 string, got {type(theta).__name__}")
@@ -146,13 +143,14 @@ def load_archive(path):
         raw = base64.b64decode(theta, validate=True)
     except ValueError as e:
         raise ConfigError(f"archive 'theta' is not valid base64: {e}") from e
-    if len(raw) != 8 * bank.theta.size:
+    if len(raw) != 8 * size:
         raise ShapeError(f"archive 'theta' holds {len(raw)} bytes, expected "
-                         f"{8 * bank.theta.size} for {bank.theta.size} float64 values")
+                         f"{8 * size} for {size} float64 values")
     values = np.frombuffer(raw, dtype="<f8")
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise ConfigError(f"archive 'theta' entry {bad[0]} is non-finite ({values[bad[0]]})")
+    bank = SubnetBank(**fingerprint)
     bank.theta[...] = values
     return bank, config
 

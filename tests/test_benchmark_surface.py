@@ -29,3 +29,19 @@ def test_gradient_probe_runs_and_passes(name):
     bank = inp.config.build_bank(seed=6)
     outcome = checks.directional_gradient(*gradient_probe(inp, bank, batch=4))
     assert outcome.ok, outcome
+
+
+@pytest.mark.parametrize("name", ["hjb_d100", "allen_cahn_d1"])
+def test_reference_runs_and_passes(name):
+    # the workloads call the oracles with positional arguments, so a changed
+    # signature fails here
+    workload = WORKLOADS[name]
+    inp = workload.build(seed=5)
+    refs = workload.reference(inp)
+    if name == "hjb_d100":
+        outcomes = [checks.cole_hopf_published(est) for est in refs]
+    else:
+        exact = 2.0 * inp.extra["heat"].T
+        outcomes = [checks.mc_closed_form(refs["mc"], exact),
+                    checks.fd_closed_form(refs["heat"], exact)]
+    assert all(outcome.ok for outcome in outcomes), outcomes

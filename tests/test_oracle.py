@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,16 @@ def test_fk_martingale_symmetry():
     p = _linear_free_problem(g=lambda x: x[:, 0])
     est = mc_feynman_kac(p, np.zeros(1), 50_000, make_uniform_grid(1.0, 10), RngStream(3))
     assert abs(est.value) < 4 * est.stderr
+
+
+def test_fk_is_the_mean_over_exact_terminal_draws():
+    # X_T = x0 + s sqrt(T) Z exactly, whatever the grid's steps; 40,000 rows
+    # span three draw chunks at d = 2
+    p = get_problem("heat", 2, {"T": 0.5})
+    x0, n = np.array([0.3, -1.2]), 40_000
+    est = mc_feynman_kac(p, x0, n, make_uniform_grid(0.5, 7), RngStream(11))
+    z = RngStream(11).normals(n * 2).reshape(n, 2)
+    assert est.value == float(np.mean(p.g(x0 + p.sigma * math.sqrt(0.5) * z)))
 
 
 def test_fk_rejects_nonzero_driver():
@@ -132,7 +144,7 @@ def test_monte_carlo_values_pinned():
     assert (est.value, est.stderr) == (4.590284645215624, 0.00045456707604565053)
     heat = get_problem("heat", 1)
     est = mc_feynman_kac(heat, np.zeros(1), 10_000, make_uniform_grid(heat.T, 10), RngStream(6))
-    assert (est.value, est.stderr) == (2.016684527391918, 0.02823444045563797)
+    assert (est.value, est.stderr) == (2.0295000622353867, 0.02939556854493767)
 
 
 # -- 1-D finite differences ---------------------------------------------------

@@ -11,7 +11,6 @@ from deepbsde.problems import (
     get_problem,
     pde_residual,
     sample_xi,
-    with_point_start,
 )
 from deepbsde.sde import RngStream
 
@@ -218,14 +217,6 @@ def test_dimension_validated():
     for d in (0, -1):
         with pytest.raises(ConfigError, match="dimension must be at least 1"):
             get_problem("heat", d)
-
-
-def test_with_point_start():
-    p = get_problem("heat", 2, {"xi_mode": "box"})
-    q = with_point_start(p, np.array([2.0, -1.0]))
-    draws = sample_xi(q, 4, RngStream(0))
-    assert np.array_equal(draws, np.tile([2.0, -1.0], (4, 1)))
-    assert q.g is p.g
 
 
 def test_builtin_sigma_is_sqrt2():

@@ -153,8 +153,10 @@ _NOT_BASE64 = {"entry_without_data": None, "null_data": None, "bool_value": True
 
 DAMAGES = ["NaN", "Infinity", "-Infinity", "truncated", "not_an_object", *_NOT_BASE64]
 
-# the damages that the tests of theta's length and of the version add
-MORE_DAMAGES = ["one_float_short", "one_float_extra", "empty_theta", "version_1", "version_3"]
+# the damages that the tests of theta's length, of the version and of an
+# architecture too large to allocate add
+MORE_DAMAGES = ["one_float_short", "one_float_extra", "empty_theta", "version_1", "version_3",
+                "oversized"]
 
 
 def _damage_archive(path, kind):
@@ -187,6 +189,11 @@ def _damage_archive(path, kind):
             message = "'theta' is not valid base64"
         else:
             message = f"'theta' must be a base64 string, got {type(value).__name__}"
+    elif kind == "oversized":
+        # about 1.4 PiB of theta, once allocated before its length was checked
+        doc["config"].update(d=10 ** 7, hidden=[10 ** 7])
+        doc["theta"] = ""
+        error, message = ShapeError, r"'theta' holds 0 bytes, expected \d+ for \d+ float64 values"
     elif kind.startswith("version_"):
         doc["version"] = int(kind[-1])
         message = (r"archive version 1 \(per-tensor text\) is no longer read; expected version 2"
@@ -605,10 +612,11 @@ def test_cli_oracle_non_finite_half_width_exits_2(tmp_path, capsys, width):
 @pytest.mark.parametrize("problem, flags", [
     ("heat", ["--lambda", "5"]),
     ("heat", ["--grid", "50"]),
-    ("hjb", ["--steps", "3"]),
+    # a flag the route does read excuses none that it never reads
+    ("hjb", ["--grid", "50", "--samples", "64", "--seed", "3"]),
     ("hjb", ["--grid", "50"]),
     ("allen_cahn", ["--samples", "7"]),
-    ("allen_cahn", ["--steps", "3"]),
+    ("allen_cahn", ["--samples", "7", "--grid", "50"]),
     ("allen_cahn", ["--lambda", "1"]),
     ("allen_cahn", ["--seed", "5"]),
 ])
@@ -617,6 +625,15 @@ def test_cli_oracle_flag_its_route_never_reads_exits_2(tmp_path, capsys, problem
                  "--out", str(tmp_path / "o.json")])
     assert code == 2
     assert f"{flags[0]} has no effect" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_cli_oracle_steps_is_an_unknown_flag(tmp_path):
+    # terminal draws are exact, so no route reads a path grid
+    with pytest.raises(SystemExit) as info:
+        main(["oracle", "--problem", "heat", "--d", "1", "--steps", "3",
+              "--out", str(tmp_path / "o.json")])
+    assert info.value.code == 2
     assert not (tmp_path / "o.json").exists()
 
 
