@@ -158,7 +158,7 @@ def _bank_rollout(problem, bank, grid, paths, increments, head=None, steps=None)
         raise ConfigError(f"bank has {bank.num_steps} steps, grid has {grid.num_steps}")
     states, incs, batch = _check_paths(problem, grid, paths, increments)
 
-    if bank.mode == "deterministic_xi":
+    if bank.xi_mode == "point":
         y0 = np.full((batch, 1), bank.y0, dtype=np.float64)
     else:
         y0 = mlp_eval(bank.y0_net, states[:, 0, :], head)
@@ -212,10 +212,10 @@ def backward(tape, loss):
             head_grads[1] += zbar.sum(axis=0)
         else:
             _add_layers(net_grads[k], mlp_backward(bank.z_nets[k], saved, zbar))
-    if bank.mode == "general_xi":
-        _add_layers(head_grads, mlp_backward(bank.y0_net, head, ybar))
-    else:
+    if bank.xi_mode == "point":
         head_grads[0] += ybar.sum(axis=0)
+    else:
+        _add_layers(head_grads, mlp_backward(bank.y0_net, head, ybar))
     flat = head_grads + [v for views in net_grads for v in views]
     if not np.all(np.isfinite(grad)):
         name = next(name for (name, _), v in zip(bank.tensor_items(), flat)
@@ -266,11 +266,11 @@ def oracle_rollout_loss(problem, grid, paths, increments):
 def estimate_u0(bank, problem, n_eval, stream):
     """(mean, stddev) of the initial-value head over fresh starting draws.
 
-    In deterministic mode the head is a scalar, so the spread is exactly 0.
+    From a point start the head is a scalar, so the spread is exactly 0.
     """
     if n_eval < 1:
         raise ConfigError(f"n_eval must be at least 1, got {n_eval}")
-    if bank.mode == "deterministic_xi":
+    if bank.xi_mode == "point":
         return float(bank.y0), 0.0
     x = sample_xi(problem, n_eval, stream)
     vals = mlp_eval(bank.y0_net, x)[:, 0]

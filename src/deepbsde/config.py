@@ -22,8 +22,6 @@ from .optim import LrSchedule
 from .problems import get_problem
 
 OPTIMIZERS = ("adam", "sgd")
-# bank variant per start law: a point start has a scalar y0, a box start a y0 net
-BANK_MODES = {"point": "deterministic_xi", "box": "general_xi"}
 
 
 @dataclass
@@ -39,9 +37,6 @@ class RunConfig:
     lr: float = 5e-3
     lr_values: tuple | None = None
     lr_boundaries: tuple | None = None
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     grad_clip: float = 0.0
     hidden: tuple | None = None
     activation: str = "tanh"
@@ -65,11 +60,6 @@ class RunConfig:
             raise ConfigError(f"unknown optimizer '{self.optimizer}' (expected one of {OPTIMIZERS})")
         if self.lr <= 0.0:
             raise ConfigError(f"'lr' must be positive, got {self.lr}")
-        for key in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, key) < 1.0:
-                raise ConfigError(f"'{key}' must lie in [0, 1), got {getattr(self, key)}")
-        if self.eps <= 0.0:
-            raise ConfigError(f"'eps' must be positive, got {self.eps}")
         if self.grad_clip < 0.0:
             raise ConfigError(f"'grad_clip' must be non-negative, got {self.grad_clip}")
         if self.sharing not in SHARINGS:
@@ -87,10 +77,6 @@ class RunConfig:
         self.build_problem()
         self.schedule()
         MLPConfig((self.d, *self.hidden_widths(), self.d), self.activation)
-
-    @property
-    def mode(self):
-        return BANK_MODES[self.xi_mode]
 
     def schedule(self):
         if self.lr_values is None:
@@ -118,7 +104,7 @@ class RunConfig:
 
     def build_bank(self, seed):
         return SubnetBank.create(
-            self.mode, self.sharing, self.d, self.N,
+            self.xi_mode, self.sharing, self.d, self.N,
             hidden=self.hidden_widths(), activation=self.activation, seed=seed,
         )
 
@@ -160,9 +146,6 @@ _SCHEMA = {
     "lr": ("lr", _parse_float),
     "lr_values": ("lr_values", _parse_float_list),
     "lr_boundaries": ("lr_boundaries", _parse_int_list),
-    "beta1": ("beta1", _parse_float),
-    "beta2": ("beta2", _parse_float),
-    "eps": ("eps", _parse_float),
     "grad_clip": ("grad_clip", _parse_float),
     "hidden": ("hidden", _parse_int_list),
     "activation": ("activation", _parse_str),

@@ -21,9 +21,9 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ConfigError, ShapeError
+from .problems import XI_MODES
 from .sde import RngStream
 
-MODES = ("general_xi", "deterministic_xi")
 SHARINGS = ("independent", "shared")
 ACTIVATION_KINDS = ("tanh", "relu", "identity")
 
@@ -127,36 +127,36 @@ def default_hidden(d):
 class SubnetBank:
     """All trainable state for one rollout, built from its architecture.
 
-    The six constructor arguments (mode, sharing, d, num_steps, hidden and
-    activation) fix the name and shape of every tensor; they are also what
+    The six constructor arguments (xi_mode, sharing, d, num_steps, hidden
+    and activation) fix the name and shape of every tensor; they are also what
     an archive stores as the bank's fingerprint. The constructor allocates
     the flat vector `theta` once, zero-filled, and binds every tensor of the
     bank (`y0` a 0-d one) as a view into it, so writing `theta` moves the
     networks. `create` writes Xavier draws into those views; loading an
     archive writes the stored values instead and draws nothing.
 
-    general_xi mode: `y0_net` maps the random start to the initial value and
-    `z_nets` holds one gradient network per step (a single entry if shared).
-    deterministic_xi mode: the start is one fixed point, so the initial value
-    is the plain scalar `y0`, the step-0 gradient is the plain vector `z0`,
-    and `z_nets` covers steps 1..N-1 only.
+    xi_mode is the start law, as in the config. "box": the start is random,
+    `y0_net` maps it to the initial value and `z_nets` holds one gradient
+    network per step (a single entry if shared). "point": the start is one
+    fixed point, so the initial value is the plain scalar `y0`, the step-0
+    gradient is the plain vector `z0`, and `z_nets` covers steps 1..N-1 only.
     """
 
-    def __init__(self, mode, sharing, d, num_steps, hidden=None, activation="tanh"):
-        self.mode, self.sharing, self.d, self.num_steps = mode, sharing, d, num_steps
+    def __init__(self, xi_mode, sharing, d, num_steps, hidden=None, activation="tanh"):
+        self.xi_mode, self.sharing, self.d, self.num_steps = xi_mode, sharing, d, num_steps
         self.hidden = tuple(int(w) for w in (default_hidden(d) if hidden is None else hidden))
         self.activation = activation
-        y0_config, z_config, groups, ends = layout(mode, sharing, d, num_steps, self.hidden,
+        y0_config, z_config, groups, ends = layout(xi_mode, sharing, d, num_steps, self.hidden,
                                                    activation)
         specs = iter(zip([0] + ends, ends, [shape for items in groups for _, shape in items]))
         self._layout = [[next(specs) for _ in items] for items in groups]
         self.theta = np.zeros(ends[-1], dtype=np.float64)
         head_views, net_views = self.views(self.theta)
         self.y0_net = None
-        if mode == "general_xi":
-            self.y0_net = MLPParams(y0_config, head_views[0::2], head_views[1::2])
-        else:
+        if xi_mode == "point":
             self.y0, self.z0 = head_views[0].reshape(()), head_views[1]
+        else:
+            self.y0_net = MLPParams(y0_config, head_views[0::2], head_views[1::2])
         self.z_nets = [MLPParams(z_config, v[0::2], v[1::2]) for v in net_views]
         names = [name for items in groups for name, _ in items]
         self._items = list(zip(names, head_views + [a for v in net_views for a in v]))
@@ -169,11 +169,11 @@ class SubnetBank:
         return head, nets
 
     @classmethod
-    def create(cls, mode, sharing, d, num_steps, hidden=None, activation="tanh", seed=0):
+    def create(cls, xi_mode, sharing, d, num_steps, hidden=None, activation="tanh", seed=0):
         """Freshly initialized bank: the initial-value network draws from
         stream (seed->0), gradient network k from (seed->k+1); a plain y0
         and z0 start at zero."""
-        bank = cls(mode, sharing, d, num_steps, hidden, activation)
+        bank = cls(xi_mode, sharing, d, num_steps, hidden, activation)
         root = RngStream(seed)
         for k, net in enumerate([bank.y0_net, *bank.z_nets]):
             if net is not None:
@@ -187,7 +187,7 @@ class SubnetBank:
         step 0 uses plain z0)."""
         if not 0 <= n < self.num_steps:
             raise ConfigError(f"step {n} outside 0..{self.num_steps - 1}")
-        if self.mode == "deterministic_xi":
+        if self.xi_mode == "point":
             if n == 0:
                 return None
             return 0 if self.sharing == "shared" else n - 1
@@ -199,21 +199,21 @@ class SubnetBank:
         return list(self._items)
 
 
-def layout(mode, sharing, d, num_steps, hidden, activation):
+def layout(xi_mode, sharing, d, num_steps, hidden, activation):
     """(y0 config or None, z config, (name, shape) groups, end offsets in theta)
     of a bank; it allocates nothing, so a loader can check a size first."""
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode '{mode}' (expected one of {MODES})")
+    if xi_mode not in XI_MODES:
+        raise ConfigError(f"unknown xi_mode '{xi_mode}' (expected one of {XI_MODES})")
     if sharing not in SHARINGS:
         raise ConfigError(f"unknown sharing '{sharing}' (expected one of {SHARINGS})")
     if d < 1 or num_steps < 1:
         raise ConfigError(f"need d >= 1 and num_steps >= 1, got d={d}, num_steps={num_steps}")
     z_config = MLPConfig((d, *hidden, d), activation)
-    if mode == "general_xi":
+    if xi_mode == "point":
+        y0_config, head, first = None, [("y0", (1,)), ("z0", (d,))], 1
+    else:
         y0_config = MLPConfig((d, *hidden, 1), activation)
         head, first = _layer_specs("psi0", y0_config), 0
-    else:
-        y0_config, head, first = None, [("y0", (1,)), ("z0", (d,))], 1
     networked_steps = num_steps - first
     count = min(networked_steps, 1) if sharing == "shared" else networked_steps
     labels = ["phi_shared" if sharing == "shared" else f"phi_{first + k}" for k in range(count)]
@@ -251,7 +251,7 @@ def unflatten_params(template, vector):
         raise ShapeError(
             f"expected a flat vector of {template.theta.size} entries, got shape {vector.shape}"
         )
-    bank = SubnetBank(template.mode, template.sharing, template.d, template.num_steps,
+    bank = SubnetBank(template.xi_mode, template.sharing, template.d, template.num_steps,
                       template.hidden, template.activation)
     bank.theta[...] = vector
     return bank

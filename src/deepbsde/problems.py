@@ -23,6 +23,8 @@ from .errors import ConfigError, ShapeError
 from .sde import block_uniforms
 
 BUILTIN_PROBLEMS = ("heat", "hjb", "allen_cahn")
+# the start laws: a point mass (xi0) or a uniform box (box_low, box_high)
+XI_MODES = ("point", "box")
 
 
 @dataclass(frozen=True)
@@ -205,13 +207,13 @@ def as_vector(value, d, key):
 
 def _build_xi(d, overrides):
     mode = overrides.get("xi_mode", "point")
+    if mode not in XI_MODES:
+        raise ConfigError(f"unknown xi_mode '{mode}' (expected one of {XI_MODES})")
     if mode == "point":
         return XiSampler.point_mass(as_vector(overrides.get("xi0", 0.0), d, "xi0"))
-    if mode == "box":
-        low = as_vector(overrides.get("box_low", -1.0), d, "box_low")
-        high = as_vector(overrides.get("box_high", 1.0), d, "box_high")
-        return XiSampler.uniform_box(low, high)
-    raise ConfigError(f"unknown xi_mode '{mode}' (expected 'point' or 'box')")
+    low = as_vector(overrides.get("box_low", -1.0), d, "box_low")
+    high = as_vector(overrides.get("box_high", 1.0), d, "box_high")
+    return XiSampler.uniform_box(low, high)
 
 
 def override_keys(name):

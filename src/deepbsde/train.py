@@ -79,7 +79,7 @@ def write_metrics(records, path):
 
 
 # a bank's constructor arguments, stored in the archive as its fingerprint
-_ARCHITECTURE = ("mode", "sharing", "d", "num_steps", "hidden", "activation")
+_ARCHITECTURE = ("xi_mode", "sharing", "d", "num_steps", "hidden", "activation")
 
 
 def save_params(bank, config_extra, path):
@@ -162,7 +162,7 @@ def _config_echo(config):
         "batch_size": config.batch_size, "iterations": config.iterations,
         "seed": config.seed, "optimizer": config.optimizer,
         "activation": config.activation, "hidden": list(config.hidden_widths()),
-        "sharing": config.sharing, "mode": config.mode,
+        "sharing": config.sharing,
         "eval_every": config.eval_every, "eval_samples": config.eval_samples,
     }
     for key, value in config.problem_overrides().items():
@@ -189,7 +189,7 @@ def run_train(config, clock=time.perf_counter):
 
     adam = None
     if config.optimizer == "adam":
-        adam = AdamState.create(bank.theta.size, config.beta1, config.beta2, config.eps)
+        adam = AdamState.create(bank.theta.size)
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -221,11 +221,12 @@ def run_train(config, clock=time.perf_counter):
     try:
         for step in range(config.iterations):
             loss_value, flat = one_batch(step)
-            if config.grad_clip > 0.0:
-                clip_by_global_norm(flat, config.grad_clip)
             rate = lr_at(schedule, step)
+            # grad_norm is the norm before clipping, as on the closing row
             if step % config.eval_every == 0:
                 emit(step, loss_value, float(np.linalg.norm(flat)), rate)
+            if config.grad_clip > 0.0:
+                clip_by_global_norm(flat, config.grad_clip)
             if adam is None:
                 sgd_step(bank.theta, flat, rate)
             else:

@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import pytest
 
@@ -21,17 +23,34 @@ def max_rel_err(analytic, fd):
     return float(np.max(np.abs(analytic - fd) / (np.abs(fd) + 1e-12)))
 
 
-def machine():
-    """numpy's version and the highest SIMD target it dispatches to here.
+def _openblas(symbol):
+    """The string an OpenBLAS query of numpy's bundled library returns, or
+    "unknown" when that library does not export `symbol`."""
+    from numpy._core import _multiarray_umath
+    # a handle to the extension also finds the symbols of the libraries it links
+    query = getattr(ctypes.CDLL(_multiarray_umath.__file__), symbol, None)
+    if query is None:
+        return "unknown"
+    query.restype = ctypes.c_char_p
+    return query().decode("ascii", "replace").strip()
 
-    Pinned bytes of normals, paths and training artifacts depend on both, so
+
+def machine():
+    """numpy's version, the highest SIMD target it dispatches to here, and
+    the OpenBLAS build and core it runs.
+
+    Pinned bytes of normals, paths and training artifacts depend on these, so
     the pin tests pass this as their assertion message: a mismatch then
     names the machine beside the one the pins were taken on.
     """
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     enabled = [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
-    here = f"numpy {np.__version__}, top dispatch target {enabled[-1] if enabled else 'baseline'}"
-    return f"{here}; the pins were taken on numpy 2.4.6, top dispatch target AVX512_SPR"
+    here = (f"numpy {np.__version__}, top dispatch target "
+            f"{enabled[-1] if enabled else 'baseline'}, OpenBLAS core "
+            f"{_openblas('scipy_openblas_get_corename64_')} "
+            f"({_openblas('scipy_openblas_get_config64_')})")
+    return (f"{here}; the pins were taken on numpy 2.4.6, top dispatch target "
+            "AVX512_SPR, OpenBLAS 0.3.31 core SkylakeX")
 
 
 @pytest.fixture

@@ -101,7 +101,7 @@ def test_criterion_2_gradient_suite():
     problem = get_problem("hjb", 2, {"lambda": 1.0, "xi_mode": "box",
                                      "box_low": (-0.5,), "box_high": (0.5,)})
     grid = make_uniform_grid(1.0, 3)
-    bank = SubnetBank.create("general_xi", "independent", 2, 3, hidden=(4, 4), seed=9)
+    bank = SubnetBank.create("box", "independent", 2, 3, hidden=(4, 4), seed=9)
     paths, incs = simulate_paths(problem, grid, 4, RngStream(10))
 
     from deepbsde.net import flatten_params, unflatten_params
@@ -235,7 +235,7 @@ def test_criterion_6_martingale_property():
     t0 = time.perf_counter()
     problem = get_problem("heat", 3, {})
     grid = make_uniform_grid(1.0, 20)
-    bank = SubnetBank.create("general_xi", "independent", 3, 20, hidden=(8, 8), seed=123)
+    bank = SubnetBank.create("box", "independent", 3, 20, hidden=(8, 8), seed=123)
     paths, incs = simulate_paths(problem, grid, 100_000, RngStream(77))
     out = rollout_values(problem, bank, grid, paths, incs)
 

@@ -6,8 +6,8 @@ import pytest
 
 from deepbsde.bsde import Tape, backward, rollout_loss
 from deepbsde.errors import ConfigError, NumericError, ShapeError
-from deepbsde.net import MODES, SHARINGS, MLPConfig, MLPParams, SubnetBank, mlp_backward, mlp_eval
-from deepbsde.problems import ProblemSpec, XiSampler, get_problem
+from deepbsde.net import SHARINGS, MLPConfig, MLPParams, SubnetBank, mlp_backward, mlp_eval
+from deepbsde.problems import XI_MODES, ProblemSpec, XiSampler, get_problem
 from deepbsde.sde import BrownianBatch, PathBatch, RngStream, make_uniform_grid, simulate_paths
 
 from conftest import central_diff_grad, max_rel_err
@@ -29,7 +29,7 @@ def _one_step(y0, z0, dw, g, T=1.0, f=None, df=None):
         name="hand", d=d, T=T, sigma=1.0, f=f, g=g,
         xi=XiSampler.point_mass(np.zeros(d)), exact=None, df=df,
     )
-    bank = SubnetBank("deterministic_xi", "independent", d, 1)
+    bank = SubnetBank("point", "independent", d, 1)
     bank.y0[...] = y0
     bank.z0[...] = z0
     paths = PathBatch(np.stack([np.zeros_like(dw), dw], axis=1))
@@ -161,7 +161,7 @@ def test_backward_simple_regression_gradient():
 
 def _small_rollout(increments_scale=None):
     d, n = 2, 3
-    bank = SubnetBank.create("deterministic_xi", "independent", d, n, hidden=(3, 3), seed=4)
+    bank = SubnetBank.create("point", "independent", d, n, hidden=(3, 3), seed=4)
     problem = ProblemSpec(
         name="free", d=d, T=1.0, sigma=1.0, f=None,
         g=lambda x: np.sum(x * x, axis=1), xi=XiSampler.point_mass(np.zeros(d)), exact=None,
@@ -266,10 +266,10 @@ def test_backward_twice_gives_same_gradients():
 
 
 @pytest.mark.parametrize("sharing", SHARINGS)
-@pytest.mark.parametrize("mode", MODES)
-def test_backward_arrays_are_views_of_the_flat_gradient(mode, sharing):
+@pytest.mark.parametrize("xi_mode", XI_MODES)
+def test_backward_arrays_are_views_of_the_flat_gradient(xi_mode, sharing):
     d, n = 2, 4
-    bank = SubnetBank.create(mode, sharing, d, n, hidden=(3, 3), seed=2)
+    bank = SubnetBank.create(xi_mode, sharing, d, n, hidden=(3, 3), seed=2)
     problem = get_problem("allen_cahn", d)
     grid = make_uniform_grid(problem.T, n)
     paths, incs = simulate_paths(problem, grid, 8, RngStream(6))

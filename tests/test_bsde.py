@@ -31,7 +31,7 @@ def test_hand_rollout_single_path():
     # N=1, d=1, X_T = 0.5, g(x)=x, y0=0, z0=1: Y_T = 0 + 1*0.5 = g(X_T)
     p = _custom_problem(1, g=lambda x: x[:, 0])
     grid = make_uniform_grid(1.0, 1)
-    bank = SubnetBank.create("deterministic_xi", "independent", 1, 1)
+    bank = SubnetBank.create("point", "independent", 1, 1)
     vec = flatten_params(bank)
     vec[:] = [0.0, 1.0]
     bank = unflatten_params(bank, vec)
@@ -49,7 +49,7 @@ def test_constant_solution_zero_loss():
     p = _custom_problem(2, g=lambda x: np.ones(x.shape[0]),
                         sigma=np.sqrt(2.0))
     grid = make_uniform_grid(1.0, 5)
-    bank = SubnetBank.create("general_xi", "independent", 2, 5, hidden=(4, 4), seed=1)
+    bank = SubnetBank.create("box", "independent", 2, 5, hidden=(4, 4), seed=1)
     vec = flatten_params(bank)
     vec[:] = 0.0
     bank = unflatten_params(bank, vec)
@@ -65,7 +65,7 @@ def test_constant_driver_telescopes():
     p = _custom_problem(1, f=lambda t, x, y, z: 1.0, df=lambda t, x, y, z: (0.0, 0.0),
                         g=lambda x: np.zeros(x.shape[0]))
     grid = make_uniform_grid(1.0, 10)
-    bank = SubnetBank.create("deterministic_xi", "independent", 1, 10, hidden=(3, 3))
+    bank = SubnetBank.create("point", "independent", 1, 10, hidden=(3, 3))
     vec = flatten_params(bank)
     vec[:] = 0.0
     vec[0] = 3.0  # y0 = c
@@ -79,7 +79,7 @@ def test_constant_driver_telescopes():
 def test_loss_equals_mean_squared_gap():
     p = get_problem("heat", 2)
     grid = make_uniform_grid(1.0, 6)
-    bank = SubnetBank.create("deterministic_xi", "independent", 2, 6, seed=11)
+    bank = SubnetBank.create("point", "independent", 2, 6, seed=11)
     paths, incs = simulate_paths(p, grid, 32, RngStream(2))
     tape = Tape()
     result = rollout_loss(tape, p, bank, grid, paths, incs)
@@ -89,7 +89,7 @@ def test_loss_equals_mean_squared_gap():
 def test_rollout_values_matches_tape_rollout():
     p = get_problem("hjb", 3, {"lambda": 0.7})
     grid = make_uniform_grid(1.0, 5)
-    bank = SubnetBank.create("general_xi", "independent", 3, 5, hidden=(8, 8), seed=6)
+    bank = SubnetBank.create("box", "independent", 3, 5, hidden=(8, 8), seed=6)
     paths, incs = simulate_paths(p, grid, 16, RngStream(7))
     tape = Tape()
     taped = rollout_loss(tape, p, bank, grid, paths, incs)
@@ -101,9 +101,9 @@ def test_rollout_values_matches_tape_rollout():
 
 def test_shared_and_independent_agree_when_nets_identical():
     d, n = 2, 4
-    shared = SubnetBank.create("general_xi", "shared", d, n, hidden=(5, 5), seed=3)
+    shared = SubnetBank.create("box", "shared", d, n, hidden=(5, 5), seed=3)
     # copy the shared net into every slot of an independent bank
-    indep = SubnetBank.create("general_xi", "independent", d, n, hidden=(5, 5), seed=3)
+    indep = SubnetBank.create("box", "independent", d, n, hidden=(5, 5), seed=3)
     svec = flatten_params(shared)
     psi_and_one_phi = svec.size
     ivec = flatten_params(indep)
@@ -126,7 +126,7 @@ def test_martingale_property():
     # f == 0 and frozen random networks: E[Y_T - Y_0] = 0
     p = get_problem("heat", 2)
     grid = make_uniform_grid(1.0, 8)
-    bank = SubnetBank.create("general_xi", "independent", 2, 8, hidden=(8, 8), seed=13)
+    bank = SubnetBank.create("box", "independent", 2, 8, hidden=(8, 8), seed=13)
     paths, incs = simulate_paths(p, grid, 100_000, RngStream(17))
     out = rollout_values(p, bank, grid, paths, incs)
     drift = out.terminal_values - out.y0_values
@@ -180,7 +180,7 @@ def test_oracle_rollout_requires_exact():
 
 
 def test_estimate_u0_deterministic():
-    bank = SubnetBank.create("deterministic_xi", "independent", 3, 4)
+    bank = SubnetBank.create("point", "independent", 3, 4)
     vec = flatten_params(bank)
     vec[0] = 3.7
     bank = unflatten_params(bank, vec)
@@ -192,8 +192,8 @@ def test_estimate_u0_deterministic():
 def test_estimate_u0_rejects_fewer_than_one_draw_in_both_modes():
     # a point-start bank once returned its y0 with spread 0 over "0 draws"
     cases = (
-        (SubnetBank.create("deterministic_xi", "independent", 2, 3), get_problem("heat", 2)),
-        (SubnetBank.create("general_xi", "independent", 2, 3, hidden=(4, 4), seed=0),
+        (SubnetBank.create("point", "independent", 2, 3), get_problem("heat", 2)),
+        (SubnetBank.create("box", "independent", 2, 3, hidden=(4, 4), seed=0),
          get_problem("heat", 2, {"xi_mode": "box"})),
     )
     for bank, p in cases:
@@ -204,7 +204,7 @@ def test_estimate_u0_rejects_fewer_than_one_draw_in_both_modes():
 
 def test_estimate_u0_constant_network():
     p = get_problem("heat", 2, {"xi_mode": "box"})
-    bank = SubnetBank.create("general_xi", "independent", 2, 3, hidden=(4, 4), seed=0)
+    bank = SubnetBank.create("box", "independent", 2, 3, hidden=(4, 4), seed=0)
     vec = flatten_params(bank)
     vec[:] = 0.0
     bank = unflatten_params(bank, vec)
@@ -217,7 +217,7 @@ def test_estimate_u0_constant_network():
 def test_estimate_u0_affine_head_over_box():
     # head with hidden layers zeroed acts as a pure bias: mean is exact
     p = get_problem("heat", 2, {"xi_mode": "box", "box_low": (-1.0,), "box_high": (1.0,)})
-    bank = SubnetBank.create("general_xi", "independent", 2, 2, hidden=(4, 4), seed=0)
+    bank = SubnetBank.create("box", "independent", 2, 2, hidden=(4, 4), seed=0)
     vec = flatten_params(bank)
     vec[:] = 0.0
     bank = unflatten_params(bank, vec)
@@ -230,7 +230,7 @@ def test_estimate_u0_affine_head_over_box():
     # over the identical draw sequence
     from deepbsde.net import mlp_eval
     from deepbsde.problems import sample_xi
-    bank2 = SubnetBank.create("general_xi", "independent", 2, 2, hidden=(4, 4), seed=9)
+    bank2 = SubnetBank.create("box", "independent", 2, 2, hidden=(4, 4), seed=9)
     mean2, spread2 = estimate_u0(bank2, p, n_eval, RngStream(41))
     draws = sample_xi(p, n_eval, RngStream(41))
     want = mlp_eval(bank2.y0_net, draws)[:, 0]
@@ -239,7 +239,7 @@ def test_estimate_u0_affine_head_over_box():
 
 
 def test_estimate_u0_rejects_bad_count():
-    bank = SubnetBank.create("general_xi", "independent", 2, 2, hidden=(4, 4))
+    bank = SubnetBank.create("box", "independent", 2, 2, hidden=(4, 4))
     with pytest.raises(ConfigError):
         estimate_u0(bank, get_problem("heat", 2), 0, RngStream(0))
 
@@ -247,7 +247,7 @@ def test_estimate_u0_rejects_bad_count():
 def test_bank_grid_mismatch_rejected():
     p = get_problem("heat", 2)
     grid = make_uniform_grid(1.0, 5)
-    bank = SubnetBank.create("deterministic_xi", "independent", 2, 4)
+    bank = SubnetBank.create("point", "independent", 2, 4)
     paths, incs = simulate_paths(p, grid, 4, RngStream(0))
     with pytest.raises(ConfigError):
         tape = Tape()
@@ -258,7 +258,7 @@ def test_rollout_gradients_match_finite_differences():
     # small instance: d=2, N=3, narrow nets, batch 4
     p = get_problem("hjb", 2, {"lambda": 1.0})
     grid = make_uniform_grid(1.0, 3)
-    template = SubnetBank.create("general_xi", "independent", 2, 3, hidden=(4, 4), seed=19)
+    template = SubnetBank.create("box", "independent", 2, 3, hidden=(4, 4), seed=19)
     paths, incs = simulate_paths(p, grid, 4, RngStream(37))
     theta = flatten_params(template)
 
@@ -278,7 +278,7 @@ def test_rollout_gradients_match_finite_differences():
 def test_rollout_gradients_deterministic_mode():
     p = get_problem("allen_cahn", 2)
     grid = make_uniform_grid(1.0, 3)
-    template = SubnetBank.create("deterministic_xi", "independent", 2, 3, hidden=(4, 4), seed=2)
+    template = SubnetBank.create("point", "independent", 2, 3, hidden=(4, 4), seed=2)
     paths, incs = simulate_paths(p, grid, 4, RngStream(3))
     theta = flatten_params(template)
 
@@ -297,7 +297,7 @@ def test_rollout_gradients_deterministic_mode():
 def test_shared_mode_gradients_accumulate_across_steps():
     p = get_problem("heat", 2)
     grid = make_uniform_grid(1.0, 4)
-    template = SubnetBank.create("general_xi", "shared", 2, 4, hidden=(4, 4), seed=8)
+    template = SubnetBank.create("box", "shared", 2, 4, hidden=(4, 4), seed=8)
     paths, incs = simulate_paths(p, grid, 4, RngStream(9))
     theta = flatten_params(template)
 
@@ -334,7 +334,7 @@ def test_rollout_gradients_through_driver_y_partial():
     # the general start sends ybar_0 through the initial-value network
     p = get_problem("allen_cahn", 2, {"xi_mode": "box", "box_low": (-0.5,), "box_high": (0.5,)})
     grid = make_uniform_grid(1.0, 20)
-    template = SubnetBank.create("general_xi", "independent", 2, 20, hidden=(4, 4), seed=5)
+    template = SubnetBank.create("box", "independent", 2, 20, hidden=(4, 4), seed=5)
     paths, incs = simulate_paths(p, grid, 4, RngStream(6))
     assert _rollout_gradcheck(p, template, grid, paths, incs) < 1e-5
 
@@ -342,7 +342,7 @@ def test_rollout_gradients_through_driver_y_partial():
 def test_shared_relu_bank_gradients_match_finite_differences():
     p = get_problem("hjb", 2, {"lambda": 1.0})
     grid = make_uniform_grid(1.0, 4)
-    template = SubnetBank.create("deterministic_xi", "shared", 2, 4, hidden=(5, 5),
+    template = SubnetBank.create("point", "shared", 2, 4, hidden=(5, 5),
                                  activation="relu", seed=12)
     paths, incs = simulate_paths(p, grid, 4, RngStream(13))
     assert _rollout_gradcheck(p, template, grid, paths, incs) < 1e-5

@@ -32,8 +32,8 @@ def test_minimal_config_defaults():
     assert cfg.optimizer == "adam"
     assert cfg.lr == pytest.approx(5e-3)
     assert cfg.xi_mode == "point"
-    # point start with no explicit mode resolves to the scalar-head variant
-    assert cfg.mode == "deterministic_xi"
+    # a point start builds the scalar-head bank
+    assert cfg.build_bank(seed=0).y0_net is None
     assert cfg.sharing == "independent"
     assert cfg.activation == "tanh"
     assert cfg.hidden is None
@@ -164,16 +164,17 @@ def test_constant_schedule_from_lr():
 def test_box_start_defaults_to_general_mode():
     text = MINIMAL + "xi_mode = box\nbox_low = -1, -1\nbox_high = 1, 1\n"
     cfg = parse_config_text(text)
-    assert cfg.mode == "general_xi"
+    bank = cfg.build_bank(seed=0)
+    assert bank.xi_mode == "box" and bank.y0_net is not None
     overrides = cfg.problem_overrides()
     assert overrides["box_low"] == (-1.0, -1.0)
     assert "xi0" not in overrides
 
 
 def test_mode_is_not_a_config_key():
-    # the bank variant follows from xi_mode alone
+    # the bank follows from xi_mode alone
     with pytest.raises(ConfigError, match="unknown key 'mode'"):
-        parse_config_text(MINIMAL + "mode = deterministic_xi\n")
+        parse_config_text(MINIMAL + "mode = point\n")
 
 
 def test_wrong_length_start_point_rejected_at_parse():
@@ -206,8 +207,10 @@ def test_value_range_checks():
     cases = [
         ("T = -1.0", "'T' must be positive"),
         ("iterations = -1", "'iterations' must be non-negative"),
-        ("beta1 = 1.0", r"'beta1' must lie in \[0, 1\)"),
-        ("eps = 0.0", "'eps' must be positive"),
+        # Adam's betas and eps keep their defaults; no config sets them
+        ("beta1 = 1.0", "unknown key 'beta1'"),
+        ("eps = 0.0", "unknown key 'eps'"),
+        ("beta2 = 0.5", "unknown key 'beta2'"),
         ("grad_clip = -0.5", "'grad_clip' must be non-negative"),
         ("hidden = 8, 0", "'hidden' widths must be positive"),
     ]
@@ -279,7 +282,7 @@ def test_build_problem_applies_overrides():
 def test_build_bank_matches_config():
     cfg = parse_config_text(MINIMAL + "hidden = 6, 6\n")
     bank = cfg.build_bank(seed=3)
-    assert bank.mode == "deterministic_xi"
+    assert bank.xi_mode == "point"
     assert bank.d == 2
     assert bank.num_steps == 20
     assert bank.z_nets[1].config.layer_widths == (2, 6, 6, 2)

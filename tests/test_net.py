@@ -4,7 +4,6 @@ import pytest
 from deepbsde.bsde import rollout_values
 from deepbsde.errors import ConfigError, ShapeError
 from deepbsde.net import (
-    MODES,
     SHARINGS,
     MLPConfig,
     SubnetBank,
@@ -15,7 +14,7 @@ from deepbsde.net import (
     param_count,
     unflatten_params,
 )
-from deepbsde.problems import get_problem
+from deepbsde.problems import XI_MODES, get_problem
 from deepbsde.sde import RngStream, make_uniform_grid, simulate_paths
 
 from conftest import central_diff_grad, max_rel_err
@@ -32,21 +31,21 @@ def test_single_mlp_parameter_count():
 
 
 def test_deterministic_bank_n1_count():
-    bank = SubnetBank.create("deterministic_xi", "independent", d=5, num_steps=1)
+    bank = SubnetBank.create("point", "independent", d=5, num_steps=1)
     assert param_count(bank) == 1 + 5
 
 
 def test_shared_bank_count():
     d, n = 3, 7
-    shared = SubnetBank.create("general_xi", "shared", d, n, hidden=(8, 8))
-    single = SubnetBank.create("general_xi", "independent", d, 1, hidden=(8, 8))
+    shared = SubnetBank.create("box", "shared", d, n, hidden=(8, 8))
+    single = SubnetBank.create("box", "independent", d, 1, hidden=(8, 8))
     assert param_count(shared) == param_count(single)
 
 
 def test_independent_bank_count_scales_with_steps():
     d = 2
-    one = SubnetBank.create("general_xi", "independent", d, 1, hidden=(6, 6))
-    three = SubnetBank.create("general_xi", "independent", d, 3, hidden=(6, 6))
+    one = SubnetBank.create("box", "independent", d, 1, hidden=(6, 6))
+    three = SubnetBank.create("box", "independent", d, 3, hidden=(6, 6))
     per_phi = _mlp_size(one.z_nets[0])
     assert param_count(three) - param_count(one) == 2 * per_phi
 
@@ -148,7 +147,7 @@ def test_mlp_gradients_match_finite_differences():
 
 
 def test_shared_bank_uses_one_network_for_all_steps():
-    bank = SubnetBank.create("general_xi", "shared", d=2, num_steps=5, hidden=(6, 6))
+    bank = SubnetBank.create("box", "shared", d=2, num_steps=5, hidden=(6, 6))
     assert {bank.z_index(n) for n in range(5)} == {0}
     x = np.random.default_rng(3).standard_normal((4, 2))
     outs = [mlp_eval(bank.z_nets[bank.z_index(n)], x) for n in range(5)]
@@ -157,7 +156,7 @@ def test_shared_bank_uses_one_network_for_all_steps():
 
 
 def test_deterministic_bank_step_zero_has_no_network():
-    bank = SubnetBank.create("deterministic_xi", "independent", d=2, num_steps=4)
+    bank = SubnetBank.create("point", "independent", d=2, num_steps=4)
     assert bank.z_index(0) is None
     assert len(bank.z_nets) == 3
     assert bank.y0 == 0.0
@@ -165,9 +164,9 @@ def test_deterministic_bank_step_zero_has_no_network():
 
 
 def test_flatten_round_trip_bitwise():
-    for mode in MODES:
+    for xi_mode in XI_MODES:
         for sharing in SHARINGS:
-            bank = SubnetBank.create(mode, sharing, d=3, num_steps=4, hidden=(6, 5), seed=8)
+            bank = SubnetBank.create(xi_mode, sharing, d=3, num_steps=4, hidden=(6, 5), seed=8)
             vec = flatten_params(bank)
             assert vec.size == param_count(bank)
             assert not np.shares_memory(vec, bank.theta)
@@ -186,10 +185,10 @@ def test_flatten_round_trip_bitwise():
 
 
 @pytest.mark.parametrize("sharing", SHARINGS)
-@pytest.mark.parametrize("mode", MODES)
-def test_bank_tensors_are_views_of_theta(mode, sharing):
+@pytest.mark.parametrize("xi_mode", XI_MODES)
+def test_bank_tensors_are_views_of_theta(xi_mode, sharing):
     d, n = 2, 3
-    bank = SubnetBank.create(mode, sharing, d, n, hidden=(4, 4), seed=6)
+    bank = SubnetBank.create(xi_mode, sharing, d, n, hidden=(4, 4), seed=6)
     items = bank.tensor_items()
     assert all(np.shares_memory(arr, bank.theta) for _, arr in items)
     # the views tile theta in flatten order, without gaps or overlaps
@@ -212,7 +211,7 @@ def test_bank_tensors_are_views_of_theta(mode, sharing):
 
 def test_flatten_perturbation_scan():
     # element k of the flat vector touches exactly one scalar in the bank
-    bank = SubnetBank.create("deterministic_xi", "independent", d=2, num_steps=2,
+    bank = SubnetBank.create("point", "independent", d=2, num_steps=2,
                              hidden=(3, 3), seed=2)
     base = flatten_params(bank)
     for k in range(base.size):
@@ -226,13 +225,13 @@ def test_flatten_perturbation_scan():
 
 
 def test_unflatten_rejects_wrong_length():
-    bank = SubnetBank.create("deterministic_xi", "independent", d=2, num_steps=3)
+    bank = SubnetBank.create("point", "independent", d=2, num_steps=3)
     with pytest.raises(ShapeError):
         unflatten_params(bank, np.zeros(param_count(bank) + 1))
 
 
 def test_tensor_naming_deterministic_mode():
-    bank = SubnetBank.create("deterministic_xi", "independent", d=2, num_steps=3,
+    bank = SubnetBank.create("point", "independent", d=2, num_steps=3,
                              hidden=(4, 4))
     names = [name for name, _ in bank.tensor_items()]
     assert names[0] == "y0"
@@ -243,7 +242,7 @@ def test_tensor_naming_deterministic_mode():
 
 
 def test_tensor_naming_general_mode():
-    bank = SubnetBank.create("general_xi", "independent", d=2, num_steps=2, hidden=(4, 4))
+    bank = SubnetBank.create("box", "independent", d=2, num_steps=2, hidden=(4, 4))
     names = [name for name, _ in bank.tensor_items()]
     assert names[0] == "psi0.layer_0.weight"
     assert "phi_0.layer_0.weight" in names
@@ -251,7 +250,7 @@ def test_tensor_naming_general_mode():
 
 
 def test_tensor_naming_shared_mode():
-    bank = SubnetBank.create("general_xi", "shared", d=2, num_steps=6, hidden=(4, 4))
+    bank = SubnetBank.create("box", "shared", d=2, num_steps=6, hidden=(4, 4))
     names = [name for name, _ in bank.tensor_items()]
     phi_names = [n for n in names if n.startswith("phi_")]
     assert all(n.startswith("phi_shared.") for n in phi_names)
@@ -261,9 +260,9 @@ def test_bank_validation():
     with pytest.raises(ConfigError):
         SubnetBank.create("nonsense_mode", "independent", 2, 3)
     with pytest.raises(ConfigError):
-        SubnetBank.create("general_xi", "sometimes", 2, 3)
+        SubnetBank.create("box", "sometimes", 2, 3)
     with pytest.raises(ConfigError):
-        SubnetBank.create("general_xi", "independent", 0, 3)
+        SubnetBank.create("box", "independent", 0, 3)
     with pytest.raises(ConfigError):
         MLPConfig((4,), "tanh")
     with pytest.raises(ConfigError):

@@ -95,9 +95,8 @@ def test_format_metrics_row_matches_header_arity():
 
 # ------------------------------------------------------------- param archive
 
-def _fresh_bank(mode="general_xi", sharing="independent"):
-    from deepbsde.net import SubnetBank
-    return SubnetBank.create(mode, sharing, d=3, num_steps=4, hidden=(5, 5), seed=42)
+def _fresh_bank(xi_mode="box", sharing="independent"):
+    return SubnetBank.create(xi_mode, sharing, d=3, num_steps=4, hidden=(5, 5), seed=42)
 
 
 def _b64(values):
@@ -114,17 +113,18 @@ def test_archive_round_trip_bitwise(tmp_path):
         assert arr_a.shape == arr_b.shape
         assert np.array_equal(arr_a, arr_b)
     assert config["note"] == "kept"
-    assert config["mode"] == "general_xi"
+    # the start law is stored once, as the bank's own fingerprint field
+    assert config["xi_mode"] == "box" and "mode" not in config
     assert json.loads(path.read_text())["version"] == 2
 
 
 def test_archive_round_trip_shared_and_deterministic(tmp_path):
-    for mode, sharing in [("deterministic_xi", "independent"), ("general_xi", "shared")]:
-        bank = _fresh_bank(mode, sharing)
-        path = tmp_path / f"{mode}_{sharing}.json"
+    for xi_mode, sharing in [("point", "independent"), ("box", "shared")]:
+        bank = _fresh_bank(xi_mode, sharing)
+        path = tmp_path / f"{xi_mode}_{sharing}.json"
         save_params(bank, {}, path)
         loaded, _ = load_archive(path)
-        assert loaded.mode == mode and loaded.sharing == sharing
+        assert loaded.xi_mode == xi_mode and loaded.sharing == sharing
         assert param_count(loaded) == param_count(bank)
         for (_, a), (_, b) in zip(bank.tensor_items(), loaded.tensor_items()):
             assert np.array_equal(a, b)
@@ -132,7 +132,7 @@ def test_archive_round_trip_shared_and_deterministic(tmp_path):
 
 def test_archive_theta_is_little_endian_float64_in_flatten_order(tmp_path):
     # y0 first, then z0, whatever the host's byte order
-    bank = SubnetBank.create("deterministic_xi", "independent", d=3, num_steps=1, hidden=(5,))
+    bank = SubnetBank.create("point", "independent", d=3, num_steps=1, hidden=(5,))
     bank.y0[...] = 1.5
     bank.z0[...] = [0.25, -0.5, 2.0]
     path = tmp_path / "params.json"
@@ -248,7 +248,7 @@ def test_archive_from_per_tensor_layout_round_trips_bytewise(tmp_path, name):
     source = Path(__file__).parent / "data" / f"params_{name}.json"
     doc = json.loads(source.read_text())
     bank = SubnetBank(**{key: doc["config"][key] for key in
-                         ("mode", "sharing", "d", "num_steps", "hidden", "activation")})
+                         ("xi_mode", "sharing", "d", "num_steps", "hidden", "activation")})
     views = dict(bank.tensor_items())
     assert [t["name"] for t in doc["tensors"]] == list(views)
     for tensor in doc["tensors"]:
@@ -260,6 +260,15 @@ def test_archive_from_per_tensor_layout_round_trips_bytewise(tmp_path, name):
     assert loaded.theta.tobytes() == bank.theta.tobytes()
     with pytest.raises(ConfigError, match=r"archive version 1 \(per-tensor text\)"):
         load_archive(source)
+    # until the bank was keyed by xi_mode, run_train's archives stored its
+    # old "mode" name beside "xi_mode", as the fixtures do; loading ignores it
+    assert {"mode", "xi_mode"} <= set(doc["config"])
+    layout_path = tmp_path / "mode_and_xi_mode.json"
+    layout_path.write_text('{\n"version": 2,\n"config": %s,\n"theta": "%s"\n}\n'
+                           % (json.dumps(doc["config"], sort_keys=True), _b64(in_file_order)))
+    loaded, config = load_archive(layout_path)
+    assert loaded.theta.tobytes() == bank.theta.tobytes()
+    assert loaded.xi_mode == config["xi_mode"] == doc["config"]["xi_mode"]
 
 
 def test_save_params_failure_keeps_previous_archive(tmp_path, monkeypatch):
@@ -273,7 +282,7 @@ def test_save_params_failure_keeps_previous_archive(tmp_path, monkeypatch):
     # the new archive is fully written but never made durable
     monkeypatch.setattr(os, "fsync", disk_full)
     with pytest.raises(OSError, match="No space"):
-        save_params(_fresh_bank("deterministic_xi"), {"note": "new"}, path)
+        save_params(_fresh_bank("point"), {"note": "new"}, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["params.json"]
 
@@ -281,7 +290,7 @@ def test_save_params_failure_keeps_previous_archive(tmp_path, monkeypatch):
 def test_archive_keeps_the_architecture_of_a_bank_without_networks(tmp_path):
     # a point start over one step has plain y0 and z0 only, yet its archive
     # still names the hidden widths and activation it was built with
-    bank = SubnetBank.create("deterministic_xi", "independent", d=3, num_steps=1,
+    bank = SubnetBank.create("point", "independent", d=3, num_steps=1,
                              hidden=(7, 7), activation="relu")
     assert bank.y0_net is None and bank.z_nets == []
     bank.y0[...] = 1.5
@@ -331,6 +340,12 @@ def test_zero_iterations_logs_init_state(tmp_path):
     summary = json.loads((tmp_path / "run" / "run_summary.json").read_text())
     assert summary["final"]["step"] == 0
     assert summary["param_count"] == param_count(reference)
+    # both configs name the start law once, as xi_mode; the archive adds
+    # only the fingerprint's num_steps (N in the run's own settings)
+    archived = json.loads((tmp_path / "run" / "params.json").read_text())["config"]
+    assert "mode" not in archived and "mode" not in summary["config"]
+    assert set(archived) - set(summary["config"]) == {"num_steps"}
+    assert archived["xi_mode"] == summary["config"]["xi_mode"] == "point"
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -380,13 +395,13 @@ ARTIFACT_PINS = {
     "problem = heat\nd = 3\nN = 10\nbatch = 32\niterations = 60\nseed = 1\n"
     "xi_mode = box\nbox_low = -1, -0.5, 0\nsharing = shared\nactivation = relu\n"
     "optimizer = sgd\ngrad_clip = 0.5\n":
-        ("11591c59b2ea", "f4a0b785e1d3", "efac5940b807", "44511cb4c8ed"),
+        ("a8108cd2e035", "f4a0b785e1d3", "b72d0543339e", "f1870af1b383"),
     "problem = heat\nd = 2\nN = 10\nbatch = 32\niterations = 80\nseed = 1\n"
     "xi_mode = box\nlr_values = 0.01, 0.003\nlr_boundaries = 40\n":
-        ("bf65904c8bd2", "52062b8e463f", "983e70da2693", "75cc1b0f939e"),
+        ("bf65904c8bd2", "52062b8e463f", "e9023ec02ee0", "556951a3792b"),
     "problem = hjb\nd = 3\nN = 10\nbatch = 32\niterations = 60\nseed = 1\n"
     "lambda = 2.5\nT = 0.5\nxi0 = 0.1, 0.2, 0.3\n":
-        ("8a19bf4d5b8c", "67d07bc68ac5", "83f291d3c261", "1410c91920f9"),
+        ("8a19bf4d5b8c", "67d07bc68ac5", "682f8b269a18", "c08173c4d3d8"),
 }
 
 
@@ -421,6 +436,18 @@ def test_seed_changes_the_run(tmp_path):
     run_train(_config(TINY, output_dir=str(out_a)))
     run_train(_config(TINY, seed=6, output_dir=str(out_b)))
     assert (out_a / "params.json").read_bytes() != (out_b / "params.json").read_bytes()
+
+
+def test_grad_norm_is_taken_before_clipping(tmp_path):
+    # step 0's gradient is the same with and without clipping, and so is
+    # the grad_norm its row reports, bit for bit
+    steps = {}
+    for name, clip in (("plain", 0.0), ("clipped", 1e-6)):
+        run_train(_config(TINY, grad_clip=clip, output_dir=str(tmp_path / name)))
+        rows = (tmp_path / name / "metrics.csv").read_text().splitlines()[1:]
+        steps[name] = {row.split(",")[0]: row.split(",")[3] for row in rows}
+    assert steps["clipped"]["0"] == steps["plain"]["0"]
+    assert float(steps["clipped"]["0"]) > 1e-3
 
 
 def test_loss_curve_mirrors_metrics(tmp_path):
@@ -678,20 +705,39 @@ def test_cli_eval_box_start_rebuilds_the_trained_problem(tmp_path, capsys):
     assert "exact:" not in stdout
 
 
-@pytest.mark.parametrize("mode, xi_mode", [("deterministic_xi", "box"),
-                                           ("general_xi", "point")])
-def test_cli_eval_bank_that_disagrees_with_its_start_law_exits_2(tmp_path, capsys,
-                                                                 mode, xi_mode):
-    # a scalar y0 has no spread over a box law, and a box bank no single value
+@pytest.mark.parametrize("xi_mode, contrary", [("point", "box"), ("box", "point")])
+def test_cli_eval_uses_the_banks_start_law_over_a_contrary_one(tmp_path, capsys,
+                                                               xi_mode, contrary):
+    # xi_mode is a field of the bank's fingerprint, which save_params writes
+    # over config_extra, so an archive cannot pair a bank with another law
+    bank = _fresh_bank(xi_mode)
     path = tmp_path / "params.json"
-    save_params(_fresh_bank(mode), {"problem": "heat", "xi_mode": xi_mode}, path)
+    save_params(bank, {"problem": "heat", "xi_mode": contrary}, path)
+    assert json.loads(path.read_text())["config"]["xi_mode"] == xi_mode
+    problem = get_problem("heat", bank.d, {"xi_mode": xi_mode})
+    mean, spread = estimate_u0(bank, problem, 64, RngStream(3))
+    code = main(["eval", "--params", str(path), "--problem", "heat",
+                 "--samples", "64", "--seed", "3"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == f"u(0, xi) = {mean:.10g} (spread {spread:.4g} over 64 draws)"
+    # only a point start has the single value the exact solution is compared at
+    assert ("exact:" in out) == (xi_mode == "point")
+
+
+def test_cli_eval_archive_without_xi_mode_exits_2(tmp_path, capsys):
+    path = tmp_path / "params.json"
+    save_params(_fresh_bank(), {"problem": "heat"}, path)
+    doc = json.loads(path.read_text())
+    del doc["config"]["xi_mode"]
+    path.write_text(json.dumps(doc))
     code = main(["eval", "--params", str(path), "--problem", "heat"])
     assert code == 2
-    assert f"archive's bank is {mode}" in capsys.readouterr().err
+    assert "archive config lacks 'xi_mode'" in capsys.readouterr().err
 
 
 def test_cli_eval_bare_archive_uses_problem_defaults(tmp_path, capsys):
-    bank = _fresh_bank("deterministic_xi")
+    bank = _fresh_bank("point")
     path = tmp_path / "params.json"
     save_params(bank, None, path)
     problem = get_problem("heat", bank.d)
@@ -707,7 +753,7 @@ def test_cli_eval_bare_archive_uses_problem_defaults(tmp_path, capsys):
 
 def test_cli_eval_zero_samples_exits_2(tmp_path, capsys):
     path = tmp_path / "params.json"
-    save_params(_fresh_bank("deterministic_xi"), None, path)
+    save_params(_fresh_bank("point"), None, path)
     code = main(["eval", "--params", str(path), "--problem", "heat", "--samples", "0"])
     assert code == 2
     captured = capsys.readouterr()
@@ -750,7 +796,7 @@ def test_cli_eval_bad_architecture_field_exits_2(tmp_path, capsys):
                                      {"xi0": ["x", 1]}])
 def test_cli_eval_non_numeric_problem_setting_exits_2(tmp_path, capsys, setting):
     path = tmp_path / "params.json"
-    save_params(_fresh_bank("deterministic_xi"), {"problem": "heat", **setting}, path)
+    save_params(_fresh_bank("point"), {"problem": "heat", **setting}, path)
     code = main(["eval", "--params", str(path), "--problem", "heat"])
     assert code == 2
     key = next(iter(setting))
