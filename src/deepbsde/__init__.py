@@ -27,7 +27,7 @@ from .net import (
     param_count,
     unflatten_params,
 )
-from .optim import AdamState, LrSchedule, adam_step, clip_by_global_norm, lr_at, sgd_step
+from .optim import AdamState, adam_step, clip_by_global_norm, lr_at, sgd_step
 from .oracle import OracleEstimate, cole_hopf_mc, fd_semilinear_1d, mc_feynman_kac
 from .problems import (
     ExactSolution,
@@ -62,7 +62,6 @@ __all__ = [
     "ConfigError",
     "DeepBsdeError",
     "ExactSolution",
-    "LrSchedule",
     "METRICS_HEADER",
     "MLPConfig",
     "MLPParams",

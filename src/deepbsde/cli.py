@@ -81,7 +81,7 @@ def cmd_oracle(args):
             raise ConfigError(
                 f"no oracle for '{args.problem}' beyond d=1 (finite differences only)"
             )
-        nodes, steps, width = _parse_grid(args.grid) if args.grid else (400, None, None)
+        nodes, steps, width = _parse_grid(args.grid) if args.grid is not None else (400, None, None)
         est = fd_semilinear_1d(problem, float(x0[0]), half_width=width,
                                nodes=nodes, time_steps=steps)
 

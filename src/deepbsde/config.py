@@ -4,12 +4,13 @@ Files are UTF-8 text, one option per line, `#` starts a comment, list
 values are comma separated. Every key is checked against the schema below;
 unknown keys are rejected with the accepted list so typos fail loudly.
 
-The problem settings, the learning-rate schedule and the network shape are
-checked by building them (`get_problem`, `LrSchedule`, `MLPConfig`), so a
-wrong-length xi0, a negative rate, unordered boundaries or an unknown
-activation fails at parse time. So does a key that would change nothing:
-a start-law key the chosen xi_mode ignores, lambda for a problem other than
-hjb, or lr next to lr_values.
+`lr = r` is the one-entry schedule `lr_values = r`, so setting both is a
+repeated key. Every value is checked at parse time: the rates and
+boundaries here, the problem settings and the network shape by the code
+that builds them (`get_problem`, `net.layout`), so a wrong-length xi0, an
+unknown sharing or a zero hidden width fails before training. So does a
+key that would change nothing: a start-law key the chosen xi_mode ignores,
+or lambda for any problem but hjb.
 """
 
 from dataclasses import dataclass
@@ -17,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .net import SHARINGS, MLPConfig, SubnetBank, default_hidden
-from .optim import LrSchedule
+from .net import SubnetBank, default_hidden, layout
 from .problems import get_problem
 
 OPTIMIZERS = ("adam", "sgd")
@@ -34,9 +34,8 @@ class RunConfig:
     seed: int
     T: float = 1.0
     optimizer: str = "adam"
-    lr: float = 5e-3
-    lr_values: tuple | None = None
-    lr_boundaries: tuple | None = None
+    lr_values: tuple = (5e-3,)
+    lr_boundaries: tuple = ()
     grad_clip: float = 0.0
     hidden: tuple | None = None
     activation: str = "tanh"
@@ -58,32 +57,24 @@ class RunConfig:
             raise ConfigError(f"'iterations' must be non-negative, got {self.iterations}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer '{self.optimizer}' (expected one of {OPTIMIZERS})")
-        if self.lr <= 0.0:
-            raise ConfigError(f"'lr' must be positive, got {self.lr}")
         if self.grad_clip < 0.0:
             raise ConfigError(f"'grad_clip' must be non-negative, got {self.grad_clip}")
-        if self.sharing not in SHARINGS:
-            raise ConfigError(f"unknown sharing '{self.sharing}' (expected one of {SHARINGS})")
-        if (self.lr_values is None) != (self.lr_boundaries is None):
-            raise ConfigError("'lr_values' and 'lr_boundaries' must be given together")
-        if self.lr_values is not None:
-            if len(self.lr_values) != len(self.lr_boundaries) + 1:
-                raise ConfigError(
-                    f"'lr_values' needs exactly one more entry than 'lr_boundaries', "
-                    f"got {len(self.lr_values)} and {len(self.lr_boundaries)}"
-                )
-        if self.hidden is not None and any(w < 1 for w in self.hidden):
-            raise ConfigError(f"'hidden' widths must be positive, got {self.hidden}")
+        self.lr_values = tuple(float(r) for r in self.lr_values)
+        self.lr_boundaries = tuple(int(b) for b in self.lr_boundaries)
+        if len(self.lr_values) != len(self.lr_boundaries) + 1:
+            raise ConfigError(
+                f"'lr_values' needs exactly one more entry than 'lr_boundaries', "
+                f"got {len(self.lr_values)} and {len(self.lr_boundaries)}"
+            )
+        if any(r <= 0.0 for r in self.lr_values):
+            raise ConfigError(f"learning rates must be positive, got {self.lr_values}")
+        if any(b <= a for a, b in zip((0,) + self.lr_boundaries, self.lr_boundaries)):
+            raise ConfigError(
+                f"'lr_boundaries' must be strictly increasing from above 0, got {self.lr_boundaries}"
+            )
         self.build_problem()
-        self.schedule()
-        MLPConfig((self.d, *self.hidden_widths(), self.d), self.activation)
-
-    def schedule(self):
-        if self.lr_values is None:
-            return LrSchedule.constant(self.lr)
-        entries = [(0, self.lr_values[0])]
-        entries += list(zip(self.lr_boundaries, self.lr_values[1:]))
-        return LrSchedule(tuple(entries))
+        # one step has every check of N steps, without naming N steps' tensors
+        layout(self.xi_mode, self.sharing, self.d, 1, self.hidden_widths(), self.activation)
 
     def hidden_widths(self):
         return self.hidden if self.hidden is not None else default_hidden(self.d)
@@ -143,7 +134,7 @@ _SCHEMA = {
     "iterations": ("iterations", _parse_int),
     "seed": ("seed", _parse_int),
     "optimizer": ("optimizer", _parse_str),
-    "lr": ("lr", _parse_float),
+    "lr": ("lr_values", lambda text: (_parse_float(text),)),
     "lr_values": ("lr_values", _parse_float_list),
     "lr_boundaries": ("lr_boundaries", _parse_int_list),
     "grad_clip": ("grad_clip", _parse_float),
@@ -182,8 +173,9 @@ def parse_config_text(text, source="<config>"):
             )
         target, parser = _SCHEMA[key]
         if target in seen:
-            raise ConfigError(f"{source}:{lineno}: key '{key}' already set on line {seen[target]}")
-        seen[target] = lineno
+            first, line = seen[target]
+            raise ConfigError(f"{source}:{lineno}: key '{key}' already set on line {line} by '{first}'")
+        seen[target] = key, lineno
         try:
             fields[target] = parser(value)
         except ValueError as e:
@@ -193,22 +185,23 @@ def parse_config_text(text, source="<config>"):
         raise ConfigError(f"{source}: missing required keys: {', '.join(missing)}")
     config = RunConfig(**fields)
     # a key the file sets must reach the run: the start law and lambda reach
-    # it only through problem_overrides, and lr_values replace lr
+    # it only through problem_overrides
     reaching = config.problem_overrides()
     for key in ("xi0", "box_low", "box_high", "lambda"):
         target = _SCHEMA[key][0]
         if target in fields and key not in reaching:
             raise ConfigError(
-                f"{source}:{seen[target]}: '{key}' has no effect with problem = "
+                f"{source}:{seen[target][1]}: '{key}' has no effect with problem = "
                 f"{config.problem} and xi_mode = {config.xi_mode}"
             )
-    if "lr" in fields and "lr_values" in fields:
-        raise ConfigError(f"{source}:{seen['lr']}: 'lr' has no effect when 'lr_values' is given")
     return config
 
 
 def parse_config(path):
-    """Read and parse a config file; wraps I/O problems as OSError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Read and parse a config file; I/O problems raise OSError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config {path} is not UTF-8 text: {e}") from e
     return parse_config_text(text, source=str(path))

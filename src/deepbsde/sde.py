@@ -18,7 +18,11 @@ and scaled by r. The float32 angle and trig move each normal by at most
 about 4e-7 r from the all-float64 transform (r <= 9.5); they are used
 because numpy vectorises float32 sin and cos and not the float64 ones, so a
 normal costs about a third as much. The bits of a normal therefore depend
-on the SIMD target of numpy's float32 sin and cos.
+on the SIMD loops numpy picks for the float64 log and the float32 sin and
+cos. The AVX2 and AVX-512 log loops round some radii apart (1,590 of the
+first 10^6 normals of one stream move, by at most 4.4e-16), and so do
+its float64 exp loops, which the Cole-Hopf oracle reads; the trig loops
+part only at the SSE baseline.
 
 One kernel, `_draw`, makes every uniform and normal in the package. It works
 in passes of PASS_SIZE values over a few buffers allocated once per call, so

@@ -185,7 +185,6 @@ def run_train(config, clock=time.perf_counter):
     data_stream = root.derive(0)
     eval_stream = root.derive(2)
     bank = config.build_bank(root.derive(1).seed_state)
-    schedule = config.schedule()
 
     adam = None
     if config.optimizer == "adam":
@@ -221,7 +220,7 @@ def run_train(config, clock=time.perf_counter):
     try:
         for step in range(config.iterations):
             loss_value, flat = one_batch(step)
-            rate = lr_at(schedule, step)
+            rate = lr_at(config.lr_values, config.lr_boundaries, step)
             # grad_norm is the norm before clipping, as on the closing row
             if step % config.eval_every == 0:
                 emit(step, loss_value, float(np.linalg.norm(flat)), rate)
@@ -236,7 +235,8 @@ def run_train(config, clock=time.perf_counter):
         loss_value, flat = one_batch(step)
     except NumericError as e:
         raise NumericError(f"training aborted at step {step}: {e}") from e
-    final = emit(step, loss_value, float(np.linalg.norm(flat)), lr_at(schedule, step))
+    final = emit(step, loss_value, float(np.linalg.norm(flat)),
+                 lr_at(config.lr_values, config.lr_boundaries, step))
 
     curve = "".join(f"{record.step},{_fmt(record.loss)}\n" for record in records)
     _write_atomic(out_dir / "loss_curve.csv", "step,loss\n" + curve)

@@ -1,14 +1,19 @@
 """The package names the benchmark under benchmarks/ calls.
 
 The benchmark's own self-tests run outside this suite, so a change that
-drops a name its tracer wraps, or one its gradient probe calls, would pass
-here and then fail every benchmark run. These tests make it fail here.
+drops a name its tracer wraps, one its gradient probe or eval phase calls,
+or a config attribute it reads (T, N, lam, eval_samples), would pass here
+and then fail every benchmark run. These tests make it fail here.
 """
 
+import dataclasses
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import deepbsde
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
@@ -45,3 +50,15 @@ def test_reference_runs_and_passes(name):
         outcomes = [checks.mc_closed_form(refs["mc"], exact),
                     checks.fd_closed_form(refs["heat"], exact)]
     assert all(outcome.ok for outcome in outcomes), outcomes
+
+
+@pytest.mark.parametrize("name", ["hjb_d100", "allen_cahn_d1"])
+def test_eval_phase_runs_on_a_saved_bank(name, tmp_path):
+    # a small held-out batch keeps this quick; the phase is the benchmark's own
+    workload = dataclasses.replace(WORKLOADS[name], heldout=8)
+    inp = workload.build(seed=5)
+    bank = inp.config.build_bank(seed=6)
+    deepbsde.save_params(bank, {}, tmp_path / "params.json")
+    ev = workload.evaluate(inp, tmp_path)
+    assert np.array_equal(ev.bank.theta, bank.theta)
+    assert np.isfinite(ev.values.loss) and np.isfinite(ev.u0)

@@ -30,7 +30,7 @@ def test_minimal_config_defaults():
     cfg = parse_config_text(MINIMAL)
     assert cfg.T == 1.0
     assert cfg.optimizer == "adam"
-    assert cfg.lr == pytest.approx(5e-3)
+    assert cfg.lr_values == (5e-3,) and cfg.lr_boundaries == ()
     assert cfg.xi_mode == "point"
     # a point start builds the scalar-head bank
     assert cfg.build_bank(seed=0).y0_net is None
@@ -82,8 +82,21 @@ def test_duplicate_key_rejected():
 def test_alias_collides_with_canonical_key():
     # batch and batch_size write the same field; giving both is a duplicate
     text = MINIMAL + "batch_size = 128\n"
-    with pytest.raises(ConfigError, match="already set"):
+    with pytest.raises(ConfigError, match="already set on line 5 by 'batch'"):
         parse_config_text(text)
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("lr = 0.01\nlr_values = 0.01, 0.001\nlr_boundaries = 500",
+     r"run\.cfg:9: key 'lr_values' already set on line 8 by 'lr'"),
+    ("lr_values = 0.01, 0.001\nlr_boundaries = 500\nlr = 0.01",
+     r"run\.cfg:10: key 'lr' already set on line 8 by 'lr_values'"),
+], ids=["lr-first", "lr_values-first"])
+def test_lr_next_to_lr_values_is_a_repeated_key(extra, message):
+    # lr = r is the schedule lr_values = r, so the message names the key
+    # that set it first
+    with pytest.raises(ConfigError, match=message):
+        parse_config_text(MINIMAL + extra + "\n", source="run.cfg")
 
 
 def test_missing_required_keys_listed():
@@ -136,16 +149,19 @@ def test_lambda_only_forwarded_for_hjb():
 def test_lr_schedule_pairing():
     text = MINIMAL + "lr_values = 0.01, 0.001\nlr_boundaries = 500\n"
     cfg = parse_config_text(text)
-    schedule = cfg.schedule()
-    assert lr_at(schedule, 0) == pytest.approx(0.01)
-    assert lr_at(schedule, 499) == pytest.approx(0.01)
-    assert lr_at(schedule, 500) == pytest.approx(0.001)
+    assert cfg.lr_values == (0.01, 0.001) and cfg.lr_boundaries == (500,)
+    assert lr_at(cfg.lr_values, cfg.lr_boundaries, 0) == 0.01
+    assert lr_at(cfg.lr_values, cfg.lr_boundaries, 499) == 0.01
+    assert lr_at(cfg.lr_values, cfg.lr_boundaries, 500) == 0.001
 
 
 def test_lr_values_without_boundaries_rejected():
-    text = MINIMAL + "lr_values = 0.01, 0.001\n"
-    with pytest.raises(ConfigError, match="given together"):
-        parse_config_text(text)
+    # lr_values default to one rate and lr_boundaries to none, so each of
+    # these is a length mismatch
+    for extra in ("lr_values = 0.01, 0.001", "lr_boundaries = 500",
+                  "lr = 0.01\nlr_boundaries = 500", "lr_values ="):
+        with pytest.raises(ConfigError, match="one more entry"):
+            parse_config_text(MINIMAL + extra + "\n")
 
 
 def test_lr_pairing_length_mismatch():
@@ -156,9 +172,12 @@ def test_lr_pairing_length_mismatch():
 
 def test_constant_schedule_from_lr():
     cfg = parse_config_text(MINIMAL + "lr = 0.02\n")
-    schedule = cfg.schedule()
-    assert lr_at(schedule, 0) == pytest.approx(0.02)
-    assert lr_at(schedule, 10 ** 6) == pytest.approx(0.02)
+    assert cfg.lr_values == (0.02,) and cfg.lr_boundaries == ()
+    assert lr_at(cfg.lr_values, cfg.lr_boundaries, 0) == 0.02
+    assert lr_at(cfg.lr_values, cfg.lr_boundaries, 10 ** 6) == 0.02
+    # lr = r is the one-entry schedule, over the default empty boundaries
+    assert parse_config_text(MINIMAL + "lr_values = 0.02\n") == cfg
+    assert parse_config_text(MINIMAL + "lr = 0.02\nlr_boundaries =\n") == cfg
 
 
 def test_box_start_defaults_to_general_mode():
@@ -212,7 +231,9 @@ def test_value_range_checks():
         ("eps = 0.0", "unknown key 'eps'"),
         ("beta2 = 0.5", "unknown key 'beta2'"),
         ("grad_clip = -0.5", "'grad_clip' must be non-negative"),
-        ("hidden = 8, 0", "'hidden' widths must be positive"),
+        ("hidden = 8, 0", "layer widths must be positive"),
+        ("lr = 0", "rates must be positive"),
+        ("lr = -0.01", "rates must be positive"),
     ]
     for extra, fragment in cases:
         base = MINIMAL.replace("iterations = 2000\n", "") if extra.startswith("iterations") \
@@ -226,6 +247,8 @@ def test_schedule_and_network_shape_checked_at_parse_time():
         ("lr_values = 0.01, -0.1\nlr_boundaries = 10", "rates must be positive"),
         ("lr_values = 0.01, 0.1, 0.2\nlr_boundaries = 10, 5", "strictly increasing"),
         ("lr_values = 0.01, 0.1\nlr_boundaries = 0", "strictly increasing"),
+        ("lr_values = 0.01, 0.1, 0.2\nlr_boundaries = 10, 10", "strictly increasing"),
+        ("lr_values = 0.01, 0.1\nlr_boundaries = -5", "strictly increasing"),
         ("activation = foo", "unknown activation 'foo'"),
     ]
     for extra, fragment in cases:
@@ -238,8 +261,7 @@ def test_schedule_and_network_shape_checked_at_parse_time():
     ("box_high = 1", "box_high", 8),
     ("xi_mode = box\nxi0 = 0.5", "xi0", 9),
     ("lambda = 2.0", "lambda", 8),
-    ("lr = 0.01\nlr_values = 0.01, 0.001\nlr_boundaries = 500", "lr", 8),
-], ids=["box_low", "box_high", "xi0", "lambda", "lr"])
+], ids=["box_low", "box_high", "xi0", "lambda"])
 def test_key_that_would_change_nothing_rejected(extra, key, line):
     # MINIMAL (seven lines) is heat from a point start, so each key would be ignored
     with pytest.raises(ConfigError, match=rf"run\.cfg:{line}: '{key}' has no effect"):

@@ -468,7 +468,7 @@ def test_loss_curve_mirrors_metrics(tmp_path):
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_training_aborts_cleanly_on_blowup(tmp_path):
     from deepbsde.errors import NumericError
-    cfg = _config(TINY, optimizer="sgd", lr=1e200, iterations=20,
+    cfg = _config(TINY, optimizer="sgd", lr_values=(1e200,), iterations=20,
                   output_dir=str(tmp_path / "run"))
     with pytest.raises(NumericError, match="training aborted at step"):
         run_train(cfg)
@@ -553,6 +553,15 @@ def test_cli_config_key_without_effect_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "latin1.cfg"
+    cfg_path.write_bytes(TINY.encode("utf-8") + b"# caf\xe9\n")
+    code = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"config {cfg_path} is not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_missing_config_exits_4(tmp_path, capsys):
     code = main(["train", "--config", str(tmp_path / "absent.cfg")])
     assert code == 4
@@ -624,6 +633,16 @@ def test_cli_oracle_fd_route(tmp_path, capsys):
     assert record["stderr"] == 0.0
     # the march draws nothing, so the record names no seed
     assert record["seed"] is None
+
+
+@pytest.mark.parametrize("grid", ["", ",", "50,10,1,2", "fifty"])
+def test_cli_oracle_malformed_grid_exits_2(tmp_path, capsys, grid):
+    # an empty --grid is a given grid too, not the default one
+    code = main(["oracle", "--problem", "allen_cahn", "--d", "1",
+                 "--grid", grid, "--out", str(tmp_path / "o.json")])
+    assert code == 2
+    assert "--grid" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
 
 
 @pytest.mark.parametrize("width", ["nan", "inf"])
@@ -841,3 +860,13 @@ def test_cli_oracle_non_numeric_x0_exits_2(tmp_path):
         main(["oracle", "--problem", "heat", "--d", "2", "--x0", "abc",
               "--out", str(tmp_path / "o.json")])
     assert info.value.code == 2
+
+
+def test_every_exported_name_exists_once():
+    # `from deepbsde import *` fails on a name __all__ lists but the package lacks
+    names = deepbsde.__all__
+    assert sorted(set(names)) == sorted(names)
+    assert [name for name in names if not hasattr(deepbsde, name)] == []
+    namespace = {}
+    exec("from deepbsde import *", namespace)
+    assert set(names) <= set(namespace)
