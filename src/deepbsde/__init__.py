@@ -18,11 +18,8 @@ from .bsde import (
 from .config import RunConfig, parse_config, parse_config_text
 from .errors import ConfigError, DeepBsdeError, NumericError, ShapeError
 from .net import (
-    MLPConfig,
-    MLPParams,
     SubnetBank,
     flatten_params,
-    init_params,
     mlp_eval,
     param_count,
     unflatten_params,
@@ -63,8 +60,6 @@ __all__ = [
     "DeepBsdeError",
     "ExactSolution",
     "METRICS_HEADER",
-    "MLPConfig",
-    "MLPParams",
     "MetricsRecord",
     "NumericError",
     "OracleEstimate",
@@ -88,7 +83,6 @@ __all__ = [
     "fd_semilinear_1d",
     "flatten_params",
     "get_problem",
-    "init_params",
     "load_archive",
     "lr_at",
     "make_uniform_grid",

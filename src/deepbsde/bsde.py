@@ -161,13 +161,13 @@ def _bank_rollout(problem, bank, grid, paths, increments, head=None, steps=None)
     if bank.xi_mode == "point":
         y0 = np.full((batch, 1), bank.y0, dtype=np.float64)
     else:
-        y0 = mlp_eval(bank.y0_net, states[:, 0, :], head)
+        y0 = mlp_eval(bank.y0_net, bank.activation, states[:, 0, :], head)
 
     def z_at(n, x_n, saved):
         k = bank.z_index(n)
         if k is None:
             return np.broadcast_to(bank.z0, x_n.shape)
-        return mlp_eval(bank.z_nets[k], x_n, saved)
+        return mlp_eval(bank.z_nets[k], bank.activation, x_n, saved)
 
     y = _forward(problem, grid, states, incs, y0, z_at, steps)
     return y0, y, _terminal_values(problem, states[:, -1, :])
@@ -211,11 +211,11 @@ def backward(tape, loss):
         if k is None:
             head_grads[1] += zbar.sum(axis=0)
         else:
-            _add_layers(net_grads[k], mlp_backward(bank.z_nets[k], saved, zbar))
+            _add_layers(net_grads[k], mlp_backward(bank.z_nets[k], bank.activation, saved, zbar))
     if bank.xi_mode == "point":
         head_grads[0] += ybar.sum(axis=0)
     else:
-        _add_layers(head_grads, mlp_backward(bank.y0_net, head, ybar))
+        _add_layers(head_grads, mlp_backward(bank.y0_net, bank.activation, head, ybar))
     flat = head_grads + [v for views in net_grads for v in views]
     if not np.all(np.isfinite(grad)):
         name = next(name for (name, _), v in zip(bank.tensor_items(), flat)
@@ -273,5 +273,5 @@ def estimate_u0(bank, problem, n_eval, stream):
     if bank.xi_mode == "point":
         return float(bank.y0), 0.0
     x = sample_xi(problem, n_eval, stream)
-    vals = mlp_eval(bank.y0_net, x)[:, 0]
+    vals = mlp_eval(bank.y0_net, bank.activation, x)[:, 0]
     return float(np.mean(vals)), float(np.std(vals))

@@ -1,6 +1,8 @@
 """Feedforward subnetworks with their forward and backward passes, and the
 parameter bank that drives a rollout.
 
+A network is its list of (weight, bias) pairs, input layer first, plus the
+activation after each hidden layer; a layer maps h to h @ weight + bias.
 A bank holds the initial-value head (a network when the starting point is
 random, a plain trainable scalar plus gradient vector when it is a fixed
 point) and one gradient network per time step, optionally shared across
@@ -15,7 +17,6 @@ vectors always line up:
 """
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -28,74 +29,33 @@ SHARINGS = ("independent", "shared")
 ACTIVATION_KINDS = ("tanh", "relu", "identity")
 
 
-@dataclass(frozen=True)
-class MLPConfig:
-    """Layer widths input-to-output plus the hidden activation kind."""
-
-    layer_widths: tuple
-    activation: str = "tanh"
-
-    def __post_init__(self):
-        widths = tuple(int(w) for w in self.layer_widths)
-        if len(widths) < 2:
-            raise ConfigError(f"need at least input and output widths, got {widths}")
-        if any(w < 1 for w in widths):
-            raise ConfigError(f"layer widths must be positive, got {widths}")
-        if self.activation not in ACTIVATION_KINDS:
-            raise ConfigError(
-                f"unknown activation '{self.activation}' (expected one of {ACTIVATION_KINDS})"
-            )
-        object.__setattr__(self, "layer_widths", widths)
-
-
-@dataclass
-class MLPParams:
-    config: MLPConfig
-    weights: list
-    biases: list
-
-
-def init_params(config, seed):
-    """Xavier-uniform weights and zero biases, drawn from RngStream(seed).
-
-    Weights are drawn layer by layer in row-major element order, so the
-    result is a pure function of (config, seed).
-    """
-    stream = RngStream(seed)
-    widths = config.layer_widths
-    weights, biases = [], []
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        u = stream.uniforms(fan_in * fan_out)
-        weights.append(((2.0 * u - 1.0) * bound).reshape(fan_in, fan_out))
-        biases.append(np.zeros(fan_out, dtype=np.float64))
-    return MLPParams(config, weights, biases)
-
-
-def mlp_eval(params, x, saved=None):
-    """Forward pass; hidden activations only, identity output.
+def mlp_eval(layers, activation, x, saved=None):
+    """Forward pass of the network `layers`, [(weight, bias), ...];
+    `activation` after every hidden layer, identity output.
 
     With a `saved` list, the input of every layer is appended to it: that
     is all mlp_backward reads.
     """
+    if activation not in ACTIVATION_KINDS:
+        raise ConfigError(f"unknown activation '{activation}' (expected one of {ACTIVATION_KINDS})")
     h = np.asarray(x, dtype=np.float64)
-    width = params.config.layer_widths[0]
+    width = layers[0][0].shape[0]
     if h.ndim != 2 or h.shape[1] != width:
         raise ShapeError(f"network expects [batch, {width}] inputs, got {h.shape}")
-    last = len(params.weights) - 1
-    for k, (w, b) in enumerate(zip(params.weights, params.biases)):
+    last = len(layers) - 1
+    for k, (w, b) in enumerate(layers):
         if saved is not None:
             saved.append(h)
         h = h @ w + b
         if k < last:
-            if params.config.activation == "tanh":
+            if activation == "tanh":
                 h = np.tanh(h)
-            elif params.config.activation == "relu":
+            elif activation == "relu":
                 h = np.maximum(h, 0.0)
     return h
 
 
-def mlp_backward(params, saved, grad_out):
+def mlp_backward(layers, activation, saved, grad_out):
     """[(weight grad, bias grad), ...] per layer of sum(grad_out * output).
 
     `saved` holds the layer inputs mlp_eval recorded. A layer input after
@@ -105,15 +65,15 @@ def mlp_backward(params, saved, grad_out):
     """
     grads = []
     g = grad_out
-    for k in range(len(params.weights) - 1, -1, -1):
+    for k in range(len(layers) - 1, -1, -1):
         h = saved[k]
         grads.append((h.T @ g, g.sum(axis=0)))
         if k == 0:
             break
-        g = g @ params.weights[k].T
-        if params.config.activation == "tanh":
+        g = g @ layers[k][0].T
+        if activation == "tanh":
             g = g * (1.0 - h * h)
-        elif params.config.activation == "relu":
+        elif activation == "relu":
             g = g * (h > 0.0)
     grads.reverse()
     return grads
@@ -132,8 +92,10 @@ class SubnetBank:
     an archive stores as the bank's fingerprint. The constructor allocates
     the flat vector `theta` once, zero-filled, and binds every tensor of the
     bank (`y0` a 0-d one) as a view into it, so writing `theta` moves the
-    networks. `create` writes Xavier draws into those views; loading an
-    archive writes the stored values instead and draws nothing.
+    networks. A network is its list of (weight, bias) views, and every
+    network uses the bank's `activation`. `create` writes Xavier draws into
+    the weight views; loading an archive writes the stored values instead
+    and draws nothing.
 
     xi_mode is the start law, as in the config. "box": the start is random,
     `y0_net` maps it to the initial value and `z_nets` holds one gradient
@@ -146,8 +108,7 @@ class SubnetBank:
         self.xi_mode, self.sharing, self.d, self.num_steps = xi_mode, sharing, d, num_steps
         self.hidden = tuple(int(w) for w in (default_hidden(d) if hidden is None else hidden))
         self.activation = activation
-        y0_config, z_config, groups, ends = layout(xi_mode, sharing, d, num_steps, self.hidden,
-                                                   activation)
+        groups, ends = layout(xi_mode, sharing, d, num_steps, self.hidden, activation)
         specs = iter(zip([0] + ends, ends, [shape for items in groups for _, shape in items]))
         self._layout = [[next(specs) for _ in items] for items in groups]
         self.theta = np.zeros(ends[-1], dtype=np.float64)
@@ -156,8 +117,8 @@ class SubnetBank:
         if xi_mode == "point":
             self.y0, self.z0 = head_views[0].reshape(()), head_views[1]
         else:
-            self.y0_net = MLPParams(y0_config, head_views[0::2], head_views[1::2])
-        self.z_nets = [MLPParams(z_config, v[0::2], v[1::2]) for v in net_views]
+            self.y0_net = list(zip(head_views[0::2], head_views[1::2]))
+        self.z_nets = [list(zip(v[0::2], v[1::2])) for v in net_views]
         names = [name for items in groups for name, _ in items]
         self._items = list(zip(names, head_views + [a for v in net_views for a in v]))
 
@@ -175,11 +136,13 @@ class SubnetBank:
         and z0 start at zero."""
         bank = cls(xi_mode, sharing, d, num_steps, hidden, activation)
         root = RngStream(seed)
-        for k, net in enumerate([bank.y0_net, *bank.z_nets]):
-            if net is not None:
-                drawn = init_params(net.config, root.derive(k).seed_state)
-                for view, values in zip(net.weights + net.biases, drawn.weights + drawn.biases):
-                    view[...] = values
+        for k, layers in enumerate([bank.y0_net, *bank.z_nets]):
+            if layers is not None:
+                stream = root.derive(k)
+                for w, _ in layers:
+                    # Xavier-uniform, drawn in row-major element order
+                    bound = math.sqrt(6.0 / (w.shape[0] + w.shape[1]))
+                    w[...] = ((2.0 * stream.uniforms(w.size) - 1.0) * bound).reshape(w.shape)
         return bank
 
     def z_index(self, n):
@@ -200,33 +163,34 @@ class SubnetBank:
 
 
 def layout(xi_mode, sharing, d, num_steps, hidden, activation):
-    """(y0 config or None, z config, (name, shape) groups, end offsets in theta)
-    of a bank; it allocates nothing, so a loader can check a size first."""
+    """((name, shape) groups, end offsets in theta) of a bank, after checking
+    its architecture; it allocates nothing, so a loader can check a size first."""
     if xi_mode not in XI_MODES:
         raise ConfigError(f"unknown xi_mode '{xi_mode}' (expected one of {XI_MODES})")
     if sharing not in SHARINGS:
         raise ConfigError(f"unknown sharing '{sharing}' (expected one of {SHARINGS})")
     if d < 1 or num_steps < 1:
         raise ConfigError(f"need d >= 1 and num_steps >= 1, got d={d}, num_steps={num_steps}")
-    z_config = MLPConfig((d, *hidden, d), activation)
+    if any(w < 1 for w in hidden):
+        raise ConfigError(f"layer widths must be positive, got {(d, *hidden, d)}")
+    if activation not in ACTIVATION_KINDS:
+        raise ConfigError(f"unknown activation '{activation}' (expected one of {ACTIVATION_KINDS})")
     if xi_mode == "point":
-        y0_config, head, first = None, [("y0", (1,)), ("z0", (d,))], 1
+        head, first = [("y0", (1,)), ("z0", (d,))], 1
     else:
-        y0_config = MLPConfig((d, *hidden, 1), activation)
-        head, first = _layer_specs("psi0", y0_config), 0
+        head, first = _layer_specs("psi0", (d, *hidden, 1)), 0
     networked_steps = num_steps - first
     count = min(networked_steps, 1) if sharing == "shared" else networked_steps
     labels = ["phi_shared" if sharing == "shared" else f"phi_{first + k}" for k in range(count)]
-    groups = [head] + [_layer_specs(label, z_config) for label in labels]
+    groups = [head] + [_layer_specs(label, (d, *hidden, d)) for label in labels]
     # Python integers: a huge fingerprint gives its true size, not a wrapped one
     ends = list(accumulate(math.prod(shape) for items in groups for _, shape in items))
-    return y0_config, z_config, groups, ends
+    return groups, ends
 
 
-def _layer_specs(prefix, config):
-    """(name, shape) of each tensor of a network: layer by layer, weight
-    before bias."""
-    widths = config.layer_widths
+def _layer_specs(prefix, widths):
+    """(name, shape) of each tensor of the network with these layer widths,
+    input to output: layer by layer, weight before bias."""
     specs = []
     for k, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
         specs.append((f"{prefix}.layer_{k}.weight", (fan_in, fan_out)))

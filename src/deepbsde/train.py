@@ -161,6 +161,8 @@ def _config_echo(config):
         "problem": config.problem, "d": config.d, "N": config.N,
         "batch_size": config.batch_size, "iterations": config.iterations,
         "seed": config.seed, "optimizer": config.optimizer,
+        "lr_values": list(config.lr_values), "lr_boundaries": list(config.lr_boundaries),
+        "grad_clip": config.grad_clip,
         "activation": config.activation, "hidden": list(config.hidden_widths()),
         "sharing": config.sharing,
         "eval_every": config.eval_every, "eval_samples": config.eval_samples,

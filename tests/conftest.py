@@ -23,6 +23,12 @@ def max_rel_err(analytic, fd):
     return float(np.max(np.abs(analytic - fd) / (np.abs(fd) + 1e-12)))
 
 
+def bare_net(weights, biases):
+    """A network outside any bank: its [(weight, bias), ...] layers as float64."""
+    return [(np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64))
+            for w, b in zip(weights, biases)]
+
+
 def _openblas(symbol):
     """The string an OpenBLAS query of numpy's bundled library returns, or
     "unknown" when that library does not export `symbol`."""

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from conftest import central_diff_grad, max_rel_err
+from conftest import bare_net, central_diff_grad, max_rel_err
 from deepbsde.bsde import Tape, backward, oracle_rollout_loss, rollout_loss, rollout_values
 from deepbsde.config import parse_config_text
 from deepbsde.net import SubnetBank
@@ -58,34 +58,34 @@ def test_criterion_1_rollout_loss_identity():
 #    bare networks and through a complete nonlinear rollout.
 
 def _mlp_gradcheck(activation, seed):
-    from deepbsde.net import MLPConfig, init_params, mlp_backward, mlp_eval
+    from deepbsde.net import mlp_backward, mlp_eval
 
     stream = RngStream(seed)
-    cfg = MLPConfig(layer_widths=(4, 8, 8, 1), activation=activation)
-    params = init_params(cfg, stream.derive(0).seed_state)
+    # a box bank's initial-value network over d=4 is a (4, 8, 8, 1) network
+    # with Xavier weights drawn from stream (seed->0)
+    net = SubnetBank.create("box", "independent", 4, 1, hidden=(8, 8),
+                            activation=activation, seed=seed).y0_net
     x = stream.derive(1).normals(3 * 4).reshape(3, 4)
     target = stream.derive(2).normals(3).reshape(3, 1)
 
-    flat0 = np.concatenate([np.concatenate([w.ravel(), b.ravel()])
-                            for w, b in zip(params.weights, params.biases)])
+    flat0 = np.concatenate([arr.ravel() for layer in net for arr in layer])
 
     def rebuild(flat):
         weights, biases, offset = [], [], 0
-        for w, b in zip(params.weights, params.biases):
+        for w, b in net:
             weights.append(flat[offset:offset + w.size].reshape(w.shape))
             offset += w.size
-            biases.append(flat[offset:offset + b.size].reshape(b.shape))
+            biases.append(flat[offset:offset + b.size])
             offset += b.size
-        from deepbsde.net import MLPParams
-        return MLPParams(cfg, weights, biases)
+        return bare_net(weights, biases)
 
     def loss_fn(flat):
-        out = mlp_eval(rebuild(flat), x)
+        out = mlp_eval(rebuild(flat), activation, x)
         return float(np.mean((out - target) ** 2))
 
     saved = []
-    out = mlp_eval(params, x, saved)
-    layers = mlp_backward(params, saved, (2.0 / x.shape[0]) * (out - target))
+    out = mlp_eval(net, activation, x, saved)
+    layers = mlp_backward(net, activation, saved, (2.0 / x.shape[0]) * (out - target))
     got = np.concatenate([arr.ravel() for layer in layers for arr in layer])
 
     fd = central_diff_grad(loss_fn, flat0)

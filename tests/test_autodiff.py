@@ -6,18 +6,11 @@ import pytest
 
 from deepbsde.bsde import Tape, backward, rollout_loss
 from deepbsde.errors import ConfigError, NumericError, ShapeError
-from deepbsde.net import SHARINGS, MLPConfig, MLPParams, SubnetBank, mlp_backward, mlp_eval
+from deepbsde.net import SHARINGS, SubnetBank, mlp_backward, mlp_eval
 from deepbsde.problems import XI_MODES, ProblemSpec, XiSampler, get_problem
 from deepbsde.sde import BrownianBatch, PathBatch, RngStream, make_uniform_grid, simulate_paths
 
-from conftest import central_diff_grad, max_rel_err
-
-
-def _net(weights, biases, activation="tanh"):
-    weights = [np.asarray(w, dtype=np.float64) for w in weights]
-    biases = [np.asarray(b, dtype=np.float64) for b in biases]
-    widths = (weights[0].shape[0],) + tuple(w.shape[1] for w in weights)
-    return MLPParams(MLPConfig(widths, activation), weights, biases)
+from conftest import bare_net, central_diff_grad, max_rel_err
 
 
 def _one_step(y0, z0, dw, g, T=1.0, f=None, df=None):
@@ -44,30 +37,30 @@ def _constant(c):
 
 
 def test_affine_identity():
-    net = _net([np.eye(2)], [np.zeros(2)])
-    assert np.array_equal(mlp_eval(net, np.array([[1.0, 2.0]])), np.array([[1.0, 2.0]]))
+    net = bare_net([np.eye(2)], [np.zeros(2)])
+    assert np.array_equal(mlp_eval(net, "tanh", np.array([[1.0, 2.0]])), np.array([[1.0, 2.0]]))
 
 
 def test_affine_hand_arithmetic():
     # y_j = sum_i x_i W_ij + b_j
-    net = _net([[[1.0, 2.0], [3.0, 4.0]]], [[1.0, 0.0]])
-    assert np.array_equal(mlp_eval(net, np.array([[1.0, 1.0]])), np.array([[5.0, 6.0]]))
+    net = bare_net([[[1.0, 2.0], [3.0, 4.0]]], [[1.0, 0.0]])
+    assert np.array_equal(mlp_eval(net, "tanh", np.array([[1.0, 1.0]])), np.array([[5.0, 6.0]]))
 
 
 def test_affine_backward_hand_chain_rule():
     # loss = (x W)^2 with x=3, W=2 -> dloss/dW = 2 * 6 * 3 = 36, dloss/db = 12
-    net = _net([[[2.0]]], [[0.0]])
+    net = bare_net([[[2.0]]], [[0.0]])
     saved = []
-    out = mlp_eval(net, np.array([[3.0]]), saved)
-    ((gw, gb),) = mlp_backward(net, saved, 2.0 * out)
+    out = mlp_eval(net, "tanh", np.array([[3.0]]), saved)
+    ((gw, gb),) = mlp_backward(net, "tanh", saved, 2.0 * out)
     assert gw[0, 0] == 36.0
     assert gb[0] == 12.0
 
 
 def test_affine_shape_mismatch():
-    net = _net([np.ones((4, 2))], [np.zeros(2)])
-    with pytest.raises(ShapeError):
-        mlp_eval(net, np.ones((2, 3)))
+    net = bare_net([np.ones((4, 2))], [np.zeros(2)])
+    with pytest.raises(ShapeError, match=r"expects \[batch, 4\] inputs"):
+        mlp_eval(net, "tanh", np.ones((2, 3)))
 
 
 def test_activations_forward_and_derivative():
@@ -76,24 +69,24 @@ def test_activations_forward_and_derivative():
     biases = [np.zeros(3), np.zeros(1)]
     x = np.array([[1.0]])
 
+    net = bare_net(weights, biases)
     saved = []
-    mlp_eval(_net(weights, biases, "tanh"), x, saved)
+    mlp_eval(net, "tanh", x, saved)
     assert saved[1][0, 0] == 0.0
 
-    relu = _net(weights, biases, "relu")
     saved = []
-    mlp_eval(relu, x, saved)
+    mlp_eval(net, "relu", x, saved)
     assert np.array_equal(saved[1], np.array([[0.0, 0.0, 2.0]]))
-    (gw0, _), _ = mlp_backward(relu, saved, np.ones((1, 1)))
+    (gw0, _), _ = mlp_backward(net, "relu", saved, np.ones((1, 1)))
     # relu'(-1) = 0 and the convention relu'(0) = 0
     assert np.array_equal(gw0, np.array([[0.0, 0.0, 1.0]]))
 
 
 def test_tanh_unit_derivative_at_zero():
-    net = _net([[[1.0]], [[1.0]]], [[0.0], [0.0]])
+    net = bare_net([[[1.0]], [[1.0]]], [[0.0], [0.0]])
     saved = []
-    out = mlp_eval(net, np.zeros((1, 1)), saved)
-    (_, gb0), _ = mlp_backward(net, saved, 2.0 * (out - 2.0))
+    out = mlp_eval(net, "tanh", np.zeros((1, 1)), saved)
+    (_, gb0), _ = mlp_backward(net, "tanh", saved, 2.0 * (out - 2.0))
     # dloss/db0 = 2*(tanh(0)-2)*tanh'(0) = -4
     assert gb0[0] == pytest.approx(-4.0, abs=1e-12)
 
@@ -102,13 +95,15 @@ def test_identity_activation():
     rng = np.random.default_rng(5)
     w0, b0, w1, b1 = (rng.standard_normal(s) for s in ((2, 3), 3, (3, 1), 1))
     x = rng.standard_normal((4, 2))
-    out = mlp_eval(_net([w0, w1], [b0, b1], "identity"), x)
+    out = mlp_eval(bare_net([w0, w1], [b0, b1]), "identity", x)
     assert np.array_equal(out, (x @ w0 + b0) @ w1 + b1)
 
 
 def test_unknown_activation_rejected():
-    with pytest.raises(ConfigError):
-        MLPConfig((1, 1), "softplus")
+    with pytest.raises(ConfigError, match="unknown activation 'softplus'"):
+        SubnetBank("point", "independent", 1, 1, activation="softplus")
+    with pytest.raises(ConfigError, match="unknown activation 'softplus'"):
+        mlp_eval(bare_net([[[1.0]]], [[0.0]]), "softplus", np.ones((1, 1)))
 
 
 def test_dot_example():
@@ -218,29 +213,30 @@ def test_random_net_gradients_match_finite_differences():
             pos += m * k
             biases.append(vec[pos:pos + k])
             pos += k
-        return _net(weights, biases)
+        return bare_net(weights, biases)
 
     def loss_fn(vec):
-        return float(np.mean((mlp_eval(build(vec), x) - target) ** 2))
+        return float(np.mean((mlp_eval(build(vec), "tanh", x) - target) ** 2))
 
     net = build(theta)
     saved = []
-    out = mlp_eval(net, x, saved)
-    layers = mlp_backward(net, saved, (2.0 / x.shape[0]) * (out - target))
+    out = mlp_eval(net, "tanh", x, saved)
+    layers = mlp_backward(net, "tanh", saved, (2.0 / x.shape[0]) * (out - target))
     flat = np.concatenate([arr.ravel() for layer in layers for arr in layer])
     assert max_rel_err(flat, central_diff_grad(loss_fn, theta)) < 1e-5
 
 
 def test_backward_linearity():
     rng = np.random.default_rng(3)
-    net = _net([rng.standard_normal((2, 4)), rng.standard_normal((4, 1))],
-               [rng.standard_normal(4), rng.standard_normal(1)])
+    net = bare_net([rng.standard_normal((2, 4)), rng.standard_normal((4, 1))],
+                   [rng.standard_normal(4), rng.standard_normal(1)])
     saved = []
-    mlp_eval(net, rng.standard_normal((5, 2)), saved)
+    mlp_eval(net, "tanh", rng.standard_normal((5, 2)), saved)
     g1, g2 = rng.standard_normal((5, 1)), rng.standard_normal((5, 1))
     alpha, beta = 0.7, -1.3
-    combo = mlp_backward(net, saved, alpha * g1 + beta * g2)
-    for got, a, b in zip(combo, mlp_backward(net, saved, g1), mlp_backward(net, saved, g2)):
+    combo = mlp_backward(net, "tanh", saved, alpha * g1 + beta * g2)
+    for got, a, b in zip(combo, mlp_backward(net, "tanh", saved, g1),
+                         mlp_backward(net, "tanh", saved, g2)):
         for k in range(2):
             assert np.max(np.abs(got[k] - (alpha * a[k] + beta * b[k]))) < 1e-12
 

@@ -53,7 +53,7 @@ def test_constant_solution_zero_loss():
     vec = flatten_params(bank)
     vec[:] = 0.0
     bank = unflatten_params(bank, vec)
-    bank.y0_net.biases[-1][0] = 1.0
+    bank.y0_net[-1][1][0] = 1.0
     paths, incs = simulate_paths(p, grid, 64, RngStream(3))
     tape = Tape()
     result = rollout_loss(tape, p, bank, grid, paths, incs)
@@ -107,7 +107,7 @@ def test_shared_and_independent_agree_when_nets_identical():
     svec = flatten_params(shared)
     psi_and_one_phi = svec.size
     ivec = flatten_params(indep)
-    psi_size = sum(w.size for w in shared.y0_net.weights) + sum(b.size for b in shared.y0_net.biases)
+    psi_size = sum(w.size + b.size for w, b in shared.y0_net)
     phi_size = psi_and_one_phi - psi_size
     ivec[:psi_size] = svec[:psi_size]
     for k in range(n):
@@ -208,7 +208,7 @@ def test_estimate_u0_constant_network():
     vec = flatten_params(bank)
     vec[:] = 0.0
     bank = unflatten_params(bank, vec)
-    bank.y0_net.biases[-1][0] = -1.25
+    bank.y0_net[-1][1][0] = -1.25
     mean, spread = estimate_u0(bank, p, 500, RngStream(3))
     assert mean == pytest.approx(-1.25, abs=1e-12)
     assert spread == pytest.approx(0.0, abs=1e-12)
@@ -221,7 +221,7 @@ def test_estimate_u0_affine_head_over_box():
     vec = flatten_params(bank)
     vec[:] = 0.0
     bank = unflatten_params(bank, vec)
-    bank.y0_net.biases[-1][0] = 0.4
+    bank.y0_net[-1][1][0] = 0.4
     n_eval = 40_000
     mean, _ = estimate_u0(bank, p, n_eval, RngStream(41))
     assert mean == pytest.approx(0.4, abs=1e-12)
@@ -233,7 +233,7 @@ def test_estimate_u0_affine_head_over_box():
     bank2 = SubnetBank.create("box", "independent", 2, 2, hidden=(4, 4), seed=9)
     mean2, spread2 = estimate_u0(bank2, p, n_eval, RngStream(41))
     draws = sample_xi(p, n_eval, RngStream(41))
-    want = mlp_eval(bank2.y0_net, draws)[:, 0]
+    want = mlp_eval(bank2.y0_net, bank2.activation, draws)[:, 0]
     assert mean2 == pytest.approx(want.mean(), abs=1e-12)
     assert spread2 == pytest.approx(want.std(), abs=1e-12)
 

@@ -307,7 +307,8 @@ def test_build_bank_matches_config():
     assert bank.xi_mode == "point"
     assert bank.d == 2
     assert bank.num_steps == 20
-    assert bank.z_nets[1].config.layer_widths == (2, 6, 6, 2)
+    assert [(w.shape, b.shape) for w, b in bank.z_nets[1]] == [
+        ((2, 6), (6,)), ((6, 6), (6,)), ((6, 2), (2,))]
 
 
 def test_runconfig_direct_construction_validates():

@@ -5,10 +5,8 @@ from deepbsde.bsde import rollout_values
 from deepbsde.errors import ConfigError, ShapeError
 from deepbsde.net import (
     SHARINGS,
-    MLPConfig,
     SubnetBank,
     flatten_params,
-    init_params,
     mlp_backward,
     mlp_eval,
     param_count,
@@ -17,17 +15,18 @@ from deepbsde.net import (
 from deepbsde.problems import XI_MODES, get_problem
 from deepbsde.sde import RngStream, make_uniform_grid, simulate_paths
 
-from conftest import central_diff_grad, max_rel_err
+from conftest import bare_net, central_diff_grad, max_rel_err
 
 
-def _mlp_size(params):
-    return sum(w.size for w in params.weights) + sum(b.size for b in params.biases)
+def _mlp_size(net):
+    return sum(w.size + b.size for w, b in net)
 
 
 def test_single_mlp_parameter_count():
     # [2,12,12,1]: (2*12+12) + (12*12+12) + (12*1+1) = 36 + 156 + 13
-    params = init_params(MLPConfig((2, 12, 12, 1), "tanh"), seed=0)
-    assert _mlp_size(params) == 205
+    bank = SubnetBank.create("box", "independent", d=2, num_steps=1, hidden=(12, 12))
+    assert [w.shape for w, _ in bank.y0_net] == [(2, 12), (12, 12), (12, 1)]
+    assert _mlp_size(bank.y0_net) == 205
 
 
 def test_deterministic_bank_n1_count():
@@ -50,97 +49,103 @@ def test_independent_bank_count_scales_with_steps():
     assert param_count(three) - param_count(one) == 2 * per_phi
 
 
+def _networks(bank):
+    return [net for net in [bank.y0_net, *bank.z_nets] if net is not None]
+
+
 def test_xavier_bound_and_zero_biases():
-    params = init_params(MLPConfig((4, 4), "tanh"), seed=31)
-    bound = np.sqrt(6.0 / 8.0)
-    w = params.weights[0]
-    assert np.all(np.abs(w) <= bound)
-    assert w.std() > 0.1 * bound  # actually random, not collapsed
-    assert np.all(params.biases[0] == 0.0)
+    # three steps: the networks of each start law and sharing, y0_net included
+    counts = {("point", "independent"): 2, ("point", "shared"): 1,
+              ("box", "independent"): 4, ("box", "shared"): 2}
+    for (xi_mode, sharing), count in counts.items():
+        bank = SubnetBank.create(xi_mode, sharing, d=3, num_steps=3, hidden=(7, 6), seed=31)
+        nets = _networks(bank)
+        assert len(nets) == count
+        for net in nets:
+            for w, b in net:
+                bound = np.sqrt(6.0 / (w.shape[0] + w.shape[1]))
+                assert np.all(np.abs(w) <= bound)
+                assert w.std() > 0.1 * bound  # actually random, not collapsed
+                assert np.all(b == 0.0)
+        if xi_mode == "point":
+            assert bank.y0 == 0.0 and np.all(bank.z0 == 0.0)
 
 
 def test_init_deterministic_given_seed():
-    a = init_params(MLPConfig((3, 9, 2), "relu"), seed=123)
-    b = init_params(MLPConfig((3, 9, 2), "relu"), seed=123)
-    for wa, wb in zip(a.weights, b.weights):
-        assert np.array_equal(wa, wb)
-    c = init_params(MLPConfig((3, 9, 2), "relu"), seed=124)
-    assert not np.array_equal(a.weights[0], c.weights[0])
+    def draw(seed):
+        return SubnetBank.create("box", "independent", 3, 2, hidden=(9,),
+                                 activation="relu", seed=seed)
+
+    a, b, c = draw(123), draw(123), draw(124)
+    assert np.array_equal(a.theta, b.theta)
+    # every network's every weight moves with the seed
+    for net_a, net_c in zip(_networks(a), _networks(c)):
+        for (wa, _), (wc, _) in zip(net_a, net_c):
+            assert np.all(wa != wc)
+    # and distinct networks of one bank draw distinct weights
+    assert not np.array_equal(a.z_nets[0][0][0], a.z_nets[1][0][0])
 
 
 def test_forward_zero_weights_returns_bias():
-    params = init_params(MLPConfig((3, 5, 2), "tanh"), seed=0)
-    for w in params.weights:
-        w[:] = 0.0
-    params.biases[-1][:] = np.array([0.7, -0.2])
+    net = bare_net([np.zeros((3, 5)), np.zeros((5, 2))], [np.ones(5), [0.7, -0.2]])
     x = np.random.default_rng(0).standard_normal((6, 3))
-    out = mlp_eval(params, x)
+    out = mlp_eval(net, "tanh", x)
     assert np.allclose(out, np.tile([0.7, -0.2], (6, 1)), atol=0)
 
 
 def test_forward_no_hidden_layer_is_affine():
-    params = init_params(MLPConfig((3, 1), "tanh"), seed=5)
-    x = np.random.default_rng(1).standard_normal((4, 3))
-    want = x @ params.weights[0] + params.biases[0]
-    assert np.array_equal(mlp_eval(params, x), want)
+    rng = np.random.default_rng(1)
+    net = bare_net([rng.standard_normal((3, 1))], [rng.standard_normal(1)])
+    x = rng.standard_normal((4, 3))
+    want = x @ net[0][0] + net[0][1]
+    assert np.array_equal(mlp_eval(net, "tanh", x), want)
 
 
-def test_tape_forward_matches_numpy_forward():
-    # the recording forward (training) and the plain one (evaluation) agree
-    params = init_params(MLPConfig((4, 7, 7, 2), "tanh"), seed=9)
+def test_saving_forward_matches_plain_forward():
+    # the forward that saves layer inputs (training) and the plain one
+    # (evaluation) agree
+    net = SubnetBank.create("box", "independent", 4, 1, hidden=(7, 7), seed=9).z_nets[0]
     x = np.random.default_rng(2).standard_normal((5, 4))
     saved = []
-    out = mlp_eval(params, x, saved)
-    assert np.array_equal(out, mlp_eval(params, x))
+    out = mlp_eval(net, "tanh", x, saved)
+    assert np.array_equal(out, mlp_eval(net, "tanh", x))
     assert [a.shape for a in saved] == [(5, 4), (5, 7), (5, 7)]
     assert np.array_equal(saved[0], x)
-    assert np.array_equal(saved[2], np.tanh(np.tanh(x @ params.weights[0]) @ params.weights[1]))
+    assert np.array_equal(saved[2], np.tanh(np.tanh(x @ net[0][0]) @ net[1][0]))
 
 
 def test_forward_input_width_checked():
-    params = init_params(MLPConfig((4, 3, 1), "tanh"), seed=0)
-    with pytest.raises(ShapeError):
-        mlp_eval(params, np.ones((2, 5)))
+    net = bare_net([np.ones((4, 3)), np.ones((3, 1))], [np.zeros(3), np.zeros(1)])
+    with pytest.raises(ShapeError, match=r"expects \[batch, 4\] inputs, got \(2, 5\)"):
+        mlp_eval(net, "tanh", np.ones((2, 5)))
 
 
 def test_mlp_gradients_match_finite_differences():
-    config = MLPConfig((3, 6, 6, 2), "tanh")
-    template = init_params(config, seed=17)
+    shapes = [(3, 6), (6, 6), (6, 2)]
     rng = np.random.default_rng(4)
+    theta = 0.5 * rng.standard_normal(sum(m * k + k for m, k in shapes))
     x = rng.standard_normal((4, 3))
     probe = rng.standard_normal((4, 2))
     target = rng.standard_normal((4, 1))
 
-    def set_from_vec(vec):
-        params = init_params(config, seed=17)
-        pos = 0
-        for li in range(len(params.weights)):
-            w = params.weights[li]
-            w[:] = vec[pos:pos + w.size].reshape(w.shape)
-            pos += w.size
-            b = params.biases[li]
-            b[:] = vec[pos:pos + b.size]
-            pos += b.size
-        return params
-
-    def flat(params):
-        out = []
-        for li in range(len(params.weights)):
-            out.append(params.weights[li].ravel())
-            out.append(params.biases[li].ravel())
-        return np.concatenate(out)
-
-    theta = flat(template)
+    def build(vec):
+        weights, biases, pos = [], [], 0
+        for m, k in shapes:
+            weights.append(vec[pos:pos + m * k].reshape(m, k))
+            pos += m * k
+            biases.append(vec[pos:pos + k])
+            pos += k
+        return bare_net(weights, biases)
 
     def loss_fn(vec):
-        proj = np.sum(mlp_eval(set_from_vec(vec), x) * probe, axis=1, keepdims=True)
+        proj = np.sum(mlp_eval(build(vec), "tanh", x) * probe, axis=1, keepdims=True)
         return float(np.mean((proj - target) ** 2))
 
-    params = set_from_vec(theta)
+    net = build(theta)
     saved = []
-    out = mlp_eval(params, x, saved)
+    out = mlp_eval(net, "tanh", x, saved)
     proj = np.sum(out * probe, axis=1, keepdims=True)
-    layers = mlp_backward(params, saved, (2.0 / x.shape[0]) * (proj - target) * probe)
+    layers = mlp_backward(net, "tanh", saved, (2.0 / x.shape[0]) * (proj - target) * probe)
     analytic = np.concatenate([arr.ravel() for layer in layers for arr in layer])
     fd = central_diff_grad(loss_fn, theta)
     assert max_rel_err(analytic, fd) < 1e-5
@@ -150,7 +155,7 @@ def test_shared_bank_uses_one_network_for_all_steps():
     bank = SubnetBank.create("box", "shared", d=2, num_steps=5, hidden=(6, 6))
     assert {bank.z_index(n) for n in range(5)} == {0}
     x = np.random.default_rng(3).standard_normal((4, 2))
-    outs = [mlp_eval(bank.z_nets[bank.z_index(n)], x) for n in range(5)]
+    outs = [mlp_eval(bank.z_nets[bank.z_index(n)], bank.activation, x) for n in range(5)]
     for o in outs[1:]:
         assert np.array_equal(o, outs[0])
 
@@ -263,9 +268,7 @@ def test_bank_validation():
         SubnetBank.create("box", "sometimes", 2, 3)
     with pytest.raises(ConfigError):
         SubnetBank.create("box", "independent", 0, 3)
-    with pytest.raises(ConfigError):
-        MLPConfig((4,), "tanh")
-    with pytest.raises(ConfigError):
-        MLPConfig((4, 0, 1), "tanh")
-    with pytest.raises(ConfigError):
-        MLPConfig((4, 4, 1), "softmax")
+    with pytest.raises(ConfigError, match=r"layer widths must be positive, got \(4, 0, 4\)"):
+        SubnetBank.create("box", "independent", 4, 3, hidden=(0,))
+    with pytest.raises(ConfigError, match="unknown activation 'softmax'"):
+        SubnetBank.create("point", "shared", 4, 3, hidden=(4,), activation="softmax")

@@ -1,6 +1,7 @@
 """Training loop artifacts, parameter archives, and the command-line surface."""
 
 import base64
+import dataclasses
 import hashlib
 import json
 import os
@@ -15,7 +16,7 @@ import pytest
 
 import deepbsde
 from deepbsde.cli import main
-from deepbsde.config import parse_config_text
+from deepbsde.config import RunConfig, parse_config_text
 from deepbsde.errors import ConfigError, NumericError, ShapeError
 from deepbsde.net import SubnetBank, param_count, unflatten_params
 from deepbsde.bsde import estimate_u0
@@ -24,6 +25,7 @@ from deepbsde.sde import RngStream
 from deepbsde.train import (
     METRICS_HEADER,
     MetricsRecord,
+    _config_echo,
     format_metrics_row,
     load_archive,
     run_train,
@@ -46,7 +48,6 @@ eval_samples = 64
 
 
 def _config(text, **updates):
-    import dataclasses
     cfg = parse_config_text(text)
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
@@ -311,9 +312,10 @@ def test_loading_and_unflattening_draw_nothing(tmp_path, monkeypatch):
     save_params(bank, {}, path)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("init_params was called")
+        raise AssertionError("a random stream was opened")
 
-    monkeypatch.setattr("deepbsde.net.init_params", refuse)
+    # SubnetBank.create's stream is the only source of draws in net.py
+    monkeypatch.setattr("deepbsde.net.RngStream", refuse)
     loaded, _ = load_archive(path)
     assert np.array_equal(loaded.theta, bank.theta)
     moved = unflatten_params(bank, bank.theta + 1.0)
@@ -395,13 +397,13 @@ ARTIFACT_PINS = {
     "problem = heat\nd = 3\nN = 10\nbatch = 32\niterations = 60\nseed = 1\n"
     "xi_mode = box\nbox_low = -1, -0.5, 0\nsharing = shared\nactivation = relu\n"
     "optimizer = sgd\ngrad_clip = 0.5\n":
-        ("a8108cd2e035", "f4a0b785e1d3", "b72d0543339e", "f1870af1b383"),
+        ("a8108cd2e035", "f4a0b785e1d3", "a4749f9e8aef", "50d9cec3a89c"),
     "problem = heat\nd = 2\nN = 10\nbatch = 32\niterations = 80\nseed = 1\n"
     "xi_mode = box\nlr_values = 0.01, 0.003\nlr_boundaries = 40\n":
-        ("bf65904c8bd2", "52062b8e463f", "e9023ec02ee0", "556951a3792b"),
+        ("bf65904c8bd2", "52062b8e463f", "acfc8f744d07", "57e551ab041e"),
     "problem = hjb\nd = 3\nN = 10\nbatch = 32\niterations = 60\nseed = 1\n"
     "lambda = 2.5\nT = 0.5\nxi0 = 0.1, 0.2, 0.3\n":
-        ("8a19bf4d5b8c", "67d07bc68ac5", "682f8b269a18", "c08173c4d3d8"),
+        ("8a19bf4d5b8c", "67d07bc68ac5", "965ee4451d64", "9cfd6ec6b500"),
 }
 
 
@@ -419,6 +421,17 @@ def test_training_artifacts_keep_their_bytes(tmp_path, text):
         for name in ("metrics.csv", "loss_curve.csv", "params.json", "run_summary.json")
     )
     assert digests == ARTIFACT_PINS[text], machine()
+
+
+@pytest.mark.parametrize("text", [TINY, TINY + "xi_mode = box\n", TINY.replace("heat", "hjb")],
+                         ids=["point", "box", "hjb"])
+def test_config_echo_records_every_setting(text):
+    # all but the output directory, less the start-law keys and lambda that
+    # the config drops because they would change nothing
+    config = _config(text)
+    dropped = {"xi0", "box_low", "box_high", "lambda"} - set(config.problem_overrides())
+    fields = {"lambda" if f.name == "lam" else f.name for f in dataclasses.fields(RunConfig)}
+    assert set(_config_echo(config)) == fields - {"output_dir"} - dropped
 
 
 def test_archive_deterministic_even_with_real_clock(tmp_path):
