@@ -13,6 +13,15 @@ each Z_n come from:
   - oracle_rollout_loss: the closed-form solution in place of the networks,
     which isolates pure time-discretization error
 
+The two tape-free rollouts walk the batch in consecutive blocks of
+VALUE_BLOCK samples, so a large held-out batch never builds a temporary of
+more than one block's rows; only their outputs, one number per sample, span
+the batch, and the loss is taken once over the whole gap. The blocks leave
+every bit of one whole-batch pass wherever OpenBLAS gives each row of a
+block's products the kernel it gets in the whole batch, as on both
+benchmark workloads (see VALUE_BLOCK): each sample's recursion reads only
+its own rows. A failure names the step and sample one pass would name.
+
 `backward` is the hand-derived adjoint. From ybar_N = 2 (Y_N - g) / B it
 runs, for n = N-1, ..., 0,
 
@@ -32,6 +41,28 @@ import numpy as np
 from .errors import ConfigError, NumericError, ShapeError
 from .net import mlp_backward, mlp_eval
 from .problems import sample_xi
+
+# Samples per block of the tape-free rollouts. A block's outputs are bitwise
+# those of one whole-batch pass where OpenBLAS computes each row of each
+# product with the same kernel either way. Its kernels sweep rows in tiles
+# (4 rows in the dgemv of a d=1 output layer) and sum the rows of a partial
+# tile in another order, so a block must be a multiple of every tile, as a
+# power of two is. Blocks of 2,050 and 2,978 rows moved 41 and 26 of 100,000
+# allen_cahn_d1 terminal values by up to 6 ulps; blocks of 1,024, 2,048 and
+# 4,096 kept every bit on both benchmark workloads. The kernel also follows
+# a product's size: blocks of 96 rows moved 33 of hjb_d100's 4,096 values,
+# and at d=10 with (20, 20) hidden widths, where a 2,048-row product takes
+# OpenBLAS's small-matrix kernel and a whole batch does not, blocks of 2,048
+# move most values by round-off (about 3e-16 of their size).
+VALUE_BLOCK = 2048
+
+
+class _NonFiniteValue(NumericError):
+    """Y went non-finite at `step`, first in row `sample` of the batch given."""
+
+    def __init__(self, step, sample):
+        super().__init__(f"non-finite value at step {step}, sample {sample}")
+        self.step, self.sample = step, sample
 
 
 class Node:
@@ -95,11 +126,15 @@ def _check_paths(problem, grid, paths, increments):
         raise ShapeError(f"paths shaped {states.shape}, expected {(batch, grid.num_steps + 1, problem.d)}")
     if incs.shape != (batch, grid.num_steps, problem.d):
         raise ShapeError(f"increments shaped {incs.shape}, expected {(batch, grid.num_steps, problem.d)}")
-    return states, incs, batch
+    return states, incs
 
 
 def _terminal_values(problem, x_terminal):
-    g = np.asarray(problem.g(x_terminal), dtype=np.float64).reshape(x_terminal.shape[0])
+    """g(X_N) as a [batch] array, not yet checked."""
+    return np.asarray(problem.g(x_terminal), dtype=np.float64).reshape(x_terminal.shape[0])
+
+
+def _checked_terminal(g):
     if not np.all(np.isfinite(g)):
         bad = int(np.argwhere(~np.isfinite(g))[0][0])
         raise NumericError(f"non-finite terminal value g at sample {bad}")
@@ -144,22 +179,48 @@ def _forward(problem, grid, states, incs, y, z_at, steps=None):
             steps.append((saved, a, c))
         y = y_next
         if not np.all(np.isfinite(y)):
-            bad = int(np.argwhere(~np.isfinite(y[:, 0]))[0][0])
-            raise NumericError(f"non-finite value at step {n}, sample {bad}")
+            raise _NonFiniteValue(n, int(np.argwhere(~np.isfinite(y[:, 0]))[0][0]))
     return y
 
 
-def _bank_rollout(problem, bank, grid, paths, increments, head=None, steps=None):
-    """(Y_0, Y_N, g(X_N)) with the bank's networks; `head` and `steps`
-    receive what the adjoint reads when given."""
+def _in_blocks(problem, states, incs, forward):
+    """(Y_0, Y_N, g(X_N)), each [batch], from `forward(states, incs) ->
+    (Y_0, Y_N)` run on consecutive blocks of VALUE_BLOCK samples.
+
+    A failure is the one a single pass over the whole batch raises: a
+    non-finite Y at the earliest step, lowest sample first, before any
+    non-finite g(X_N), lowest sample first.
+    """
+    batch = states.shape[0]
+    y0, y, g = np.empty(batch), np.empty(batch), np.empty(batch)
+    failures = []
+    for lo in range(0, batch, VALUE_BLOCK):
+        hi = min(lo + VALUE_BLOCK, batch)
+        try:
+            y0_block, y_block = forward(states[lo:hi], incs[lo:hi])
+        except _NonFiniteValue as e:
+            failures.append((e.step, lo + e.sample))
+            continue
+        y0[lo:hi], y[lo:hi] = y0_block[:, 0], y_block[:, 0]
+        g[lo:hi] = _terminal_values(problem, states[lo:hi, -1, :])
+    if failures:
+        raise _NonFiniteValue(*min(failures))
+    return y0, y, _checked_terminal(g)
+
+
+def _check_bank_paths(problem, bank, grid, paths, increments):
     if bank.d != problem.d:
         raise ConfigError(f"bank dimension {bank.d} != problem dimension {problem.d}")
     if bank.num_steps != grid.num_steps:
         raise ConfigError(f"bank has {bank.num_steps} steps, grid has {grid.num_steps}")
-    states, incs, batch = _check_paths(problem, grid, paths, increments)
+    return _check_paths(problem, grid, paths, increments)
 
+
+def _bank_forward(problem, bank, grid, states, incs, head=None, steps=None):
+    """(Y_0, Y_N), each [batch, 1], with the bank's networks; `head` and
+    `steps` receive what the adjoint reads when given."""
     if bank.xi_mode == "point":
-        y0 = np.full((batch, 1), bank.y0, dtype=np.float64)
+        y0 = np.full((states.shape[0], 1), bank.y0, dtype=np.float64)
     else:
         y0 = mlp_eval(bank.y0_net, bank.activation, states[:, 0, :], head)
 
@@ -169,8 +230,7 @@ def _bank_rollout(problem, bank, grid, paths, increments, head=None, steps=None)
             return np.broadcast_to(bank.z0, x_n.shape)
         return mlp_eval(bank.z_nets[k], bank.activation, x_n, saved)
 
-    y = _forward(problem, grid, states, incs, y0, z_at, steps)
-    return y0, y, _terminal_values(problem, states[:, -1, :])
+    return y0, _forward(problem, grid, states, incs, y0, z_at, steps)
 
 
 def rollout_loss(tape, problem, bank, grid, paths, increments):
@@ -181,8 +241,10 @@ def rollout_loss(tape, problem, bank, grid, paths, increments):
     """
     if tape.nodes:
         raise ConfigError("a tape records one rollout; pass a fresh Tape")
+    states, incs = _check_bank_paths(problem, bank, grid, paths, increments)
     head, steps = [], []
-    y0, y, g = _bank_rollout(problem, bank, grid, paths, increments, head, steps)
+    y0, y = _bank_forward(problem, bank, grid, states, incs, head, steps)
+    g = _checked_terminal(_terminal_values(problem, states[:, -1, :]))
     gap = g - y[:, 0]
     loss = Node(np.array(_mse(gap)))
     arrays = head + [v for saved, a, c in steps for v in (*saved, a, c)] + [y]
@@ -231,15 +293,12 @@ def _add_layers(views, layers):
 
 
 def rollout_values(problem, bank, grid, paths, increments):
-    """The forward of rollout_loss, saving nothing, as plain arrays."""
-    y0, y, g = _bank_rollout(problem, bank, grid, paths, increments)
-    gap = g - y[:, 0]
-    return ValueRollout(
-        loss=_mse(gap),
-        y0_values=y0[:, 0].copy(),
-        terminal_values=y[:, 0].copy(),
-        terminal_gap=gap,
-    )
+    """The forward of rollout_loss, saving nothing, as plain arrays, in
+    blocks of VALUE_BLOCK samples."""
+    states, incs = _check_bank_paths(problem, bank, grid, paths, increments)
+    y0, y, g = _in_blocks(problem, states, incs, lambda s, i: _bank_forward(problem, bank, grid, s, i))
+    gap = g - y
+    return ValueRollout(loss=_mse(gap), y0_values=y0, terminal_values=y, terminal_gap=gap)
 
 
 def oracle_rollout_loss(problem, grid, paths, increments):
@@ -251,16 +310,19 @@ def oracle_rollout_loss(problem, grid, paths, increments):
     """
     if problem.exact is None:
         raise ConfigError(f"problem '{problem.name}' has no closed-form solution")
-    states, incs, batch = _check_paths(problem, grid, paths, increments)
-    y0 = np.asarray(problem.exact.u(0.0, states[:, 0, :]), dtype=np.float64).reshape(batch, 1)
+    states, incs = _check_paths(problem, grid, paths, increments)
 
     def z_at(n, x_n, saved):
         t_n = float(grid.times[n])
         grad = np.asarray(problem.exact.grad(t_n, x_n), dtype=np.float64)
         return grad * problem.sigma
 
-    y = _forward(problem, grid, states, incs, y0, z_at)
-    return _mse(_terminal_values(problem, states[:, -1, :]) - y[:, 0])
+    def forward(s, i):
+        y0 = np.asarray(problem.exact.u(0.0, s[:, 0, :]), dtype=np.float64).reshape(s.shape[0], 1)
+        return y0, _forward(problem, grid, s, i, y0, z_at)
+
+    _, y, g = _in_blocks(problem, states, incs, forward)
+    return _mse(g - y)
 
 
 def estimate_u0(bank, problem, n_eval, stream):

@@ -5,14 +5,15 @@ values are comma separated. Every key is checked against the schema below;
 unknown keys are rejected with the accepted list so typos fail loudly.
 
 `lr = r` is the one-entry schedule `lr_values = r`, so setting both is a
-repeated key. Every value is checked at parse time: the rates and
-boundaries here, the problem settings and the network shape by the code
-that builds them (`get_problem`, `net.layout`), so a wrong-length xi0, an
-unknown sharing or a zero hidden width fails before training. So does a
-key that would change nothing: a start-law key the chosen xi_mode ignores,
-or lambda for any problem but hjb.
+repeated key. Every value is checked at parse time: the rates, the
+boundaries and that each hidden width is an integer here, the problem
+settings and the network shape by the code that builds them (`get_problem`,
+`net.layout`), so a wrong-length xi0, an unknown sharing or a zero hidden
+width fails before training. So does a key that would change nothing: a
+start-law key the chosen xi_mode ignores, or lambda for any problem but hjb.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,11 @@ class RunConfig:
             raise ConfigError(
                 f"'lr_boundaries' must be strictly increasing from above 0, got {self.lr_boundaries}"
             )
+        if self.hidden is not None:
+            if not isinstance(self.hidden, (tuple, list)) or any(
+                    isinstance(w, bool) or not isinstance(w, numbers.Integral) for w in self.hidden):
+                raise ConfigError(f"'hidden' must be a list of integer widths, got {self.hidden!r}")
+            self.hidden = tuple(int(w) for w in self.hidden)
         self.build_problem()
         # one step has every check of N steps, without naming N steps' tensors
         layout(self.xi_mode, self.sharing, self.d, 1, self.hidden_widths(), self.activation)

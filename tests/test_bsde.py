@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from deepbsde.bsde import (
+    VALUE_BLOCK,
     Tape,
     backward,
     estimate_u0,
@@ -9,7 +12,7 @@ from deepbsde.bsde import (
     rollout_loss,
     rollout_values,
 )
-from deepbsde.errors import ConfigError
+from deepbsde.errors import ConfigError, NumericError
 from deepbsde.net import SubnetBank, flatten_params, param_count, unflatten_params
 from deepbsde.problems import ProblemSpec, XiSampler, get_problem
 from deepbsde.sde import BrownianBatch, PathBatch, RngStream, make_uniform_grid, simulate_paths
@@ -97,6 +100,72 @@ def test_rollout_values_matches_tape_rollout():
     assert plain.loss == float(taped.loss.value)
     assert np.array_equal(plain.y0_values, taped.y0_values)
     assert np.array_equal(plain.terminal_gap, taped.terminal_gap)
+
+
+def _two_blocks_and_five(problem_name, xi_mode, n_steps, hidden, seed):
+    """A d=1 problem, grid, bank and paths whose batch spans two whole
+    blocks of the tape-free rollouts and five samples of a third."""
+    p = get_problem(problem_name, 1, {"xi_mode": xi_mode})
+    grid = make_uniform_grid(1.0, n_steps)
+    bank = SubnetBank.create(xi_mode, "independent", 1, n_steps, hidden=hidden, seed=seed)
+    paths, incs = simulate_paths(p, grid, 2 * VALUE_BLOCK + 5, RngStream(seed))
+    return p, grid, bank, paths, incs
+
+
+def test_blocked_rollout_values_match_whole_batch_tape_rollout_bitwise():
+    # rollout_loss runs the whole batch in one pass, rollout_values in blocks
+    p, grid, bank, paths, incs = _two_blocks_and_five("allen_cahn", "box", 8, (5, 5), 41)
+    taped = rollout_loss(Tape(), p, bank, grid, paths, incs)
+    plain = rollout_values(p, bank, grid, paths, incs)
+    assert plain.loss == float(taped.loss.value)
+    assert plain.y0_values.tobytes() == taped.y0_values.tobytes()
+    assert plain.terminal_gap.tobytes() == taped.terminal_gap.tobytes()
+
+
+_LATE = 2 * VALUE_BLOCK + 3
+
+
+@pytest.mark.parametrize("plant, message", [
+    # the earliest step wins over the lowest sample, across blocks
+    ([(_LATE, 1), (5, 4)], f"non-finite value at step 1, sample {_LATE}"),
+    # at one step the lowest sample of the whole batch wins
+    ([(_LATE, 2), (VALUE_BLOCK + 1, 2)], f"non-finite value at step 2, sample {VALUE_BLOCK + 1}"),
+    # a forward failure in a later block wins over a non-finite g(X_N)
+    ([(5, 6), (_LATE, 2)], f"non-finite value at step 2, sample {_LATE}"),
+    # g(X_N) alone is named by its sample in the whole batch
+    ([(_LATE, 6), (VALUE_BLOCK + 7, 6)], f"non-finite terminal value g at sample {VALUE_BLOCK + 7}"),
+], ids=["earliest-step", "lowest-sample", "forward-before-terminal", "terminal-only"])
+def test_blocked_rollout_failures_name_whole_batch_step_and_sample(plant, message):
+    # heat has the exact solution the oracle rollout needs; a NaN in X_n
+    # reaches Y at step n through Z_n, and X_6 = X_N only through g
+    p, grid, bank, paths, incs = _two_blocks_and_five("heat", "point", 6, (4,), 43)
+    for sample, step in plant:
+        paths.states[sample, step, :] = np.nan
+    with pytest.raises(NumericError) as whole:
+        rollout_loss(Tape(), p, bank, grid, paths, incs)
+    assert str(whole.value) == message
+    with pytest.raises(NumericError) as blocked:
+        rollout_values(p, bank, grid, paths, incs)
+    assert str(blocked.value) == message
+    with pytest.raises(NumericError) as oracle:
+        oracle_rollout_loss(p, grid, paths, incs)
+    assert str(oracle.value) == message
+
+
+def test_rollout_values_memory_stays_bounded():
+    # 100,000 paths of 41 states: one whole-batch pass peaked at 29.7 MB,
+    # blocks of VALUE_BLOCK samples at 4.0 MB, 3.2 MB of it the four outputs
+    p = get_problem("heat", 1)
+    grid = make_uniform_grid(1.0, 40)
+    bank = SubnetBank.create("point", "independent", 1, 40, seed=47)
+    paths, incs = simulate_paths(p, grid, 100_000, RngStream(47))
+    tracemalloc.start()
+    try:
+        rollout_values(p, bank, grid, paths, incs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_shared_and_independent_agree_when_nets_identical():

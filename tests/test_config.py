@@ -1,5 +1,6 @@
 """Config parsing: schema, aliases, defaults, and error reporting."""
 
+import numpy as np
 import pytest
 
 from deepbsde.config import RunConfig, parse_config, parse_config_text
@@ -314,3 +315,18 @@ def test_build_bank_matches_config():
 def test_runconfig_direct_construction_validates():
     with pytest.raises(ConfigError, match="'d' must be at least 1"):
         RunConfig(problem="heat", d=0, N=20, batch_size=8, iterations=1, seed=0)
+
+
+@pytest.mark.parametrize("hidden", [(6.5,), (8, 4.0), (True,), 6, "8"],
+                         ids=["fraction", "float", "bool", "bare-int", "string"])
+def test_runconfig_rejects_non_integer_widths(hidden):
+    # a width of 6.5 once trained width-6 nets while the run summary said 6.5
+    with pytest.raises(ConfigError, match="'hidden'"):
+        RunConfig(problem="heat", d=2, N=4, batch_size=8, iterations=1, seed=0, hidden=hidden)
+
+
+def test_runconfig_stores_integer_widths_as_python_ints():
+    cfg = RunConfig(problem="heat", d=2, N=4, batch_size=8, iterations=1, seed=0,
+                    hidden=[np.int64(6), 5])
+    assert cfg.hidden == (6, 5)
+    assert all(type(w) is int for w in cfg.hidden)
