@@ -34,14 +34,7 @@ from .problems import (
     get_problem,
     pde_residual,
 )
-from .sde import (
-    BrownianBatch,
-    PathBatch,
-    RngStream,
-    TimeGrid,
-    make_uniform_grid,
-    simulate_paths,
-)
+from .sde import RngStream, TimeGrid, make_uniform_grid, simulate_paths
 from .train import (
     METRICS_HEADER,
     MetricsRecord,
@@ -55,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamState",
-    "BrownianBatch",
     "ConfigError",
     "DeepBsdeError",
     "ExactSolution",
@@ -63,7 +55,6 @@ __all__ = [
     "MetricsRecord",
     "NumericError",
     "OracleEstimate",
-    "PathBatch",
     "ProblemSpec",
     "RngStream",
     "RolloutResult",

@@ -1,6 +1,8 @@
 """The discretized value process, its loss, and the loss's adjoint.
 
-Given simulated paths, the rollout threads a value estimate Y through time,
+Given the two arrays `simulate_paths` returns, the states X, [batch, N+1, d],
+and the Brownian increments dW, [batch, N, d], the rollout threads a value
+estimate Y through time,
 
     Y_{n+1} = Y_n - f(t_n, X_n, Y_n, Z_n) dt_n + Z_n . dW_n,
 
@@ -40,7 +42,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
 from .net import mlp_backward, mlp_eval
-from .problems import sample_xi
+from .problems import check_horizon
 
 # Samples per block of the tape-free rollouts. A block's outputs are bitwise
 # those of one whole-batch pass where OpenBLAS computes each row of each
@@ -114,19 +116,19 @@ class ValueRollout:
     terminal_gap: np.ndarray
 
 
-def _check_paths(problem, grid, paths, increments):
-    states = paths.states
-    incs = increments.increments
+def _check_paths(problem, grid, states, incs):
+    """Rejects a grid that ends short of or past T, and arrays not shaped
+    [batch, N+1, d] and [batch, N, d] for batch >= 1, swapped ones too."""
+    check_horizon(problem, grid)
     if states.ndim != 3 or incs.ndim != 3:
-        raise ShapeError("paths and increments must be [batch, steps(+1), d] arrays")
+        raise ShapeError("states and increments must be [batch, steps(+1), d] arrays")
     batch = states.shape[0]
     if batch < 1:
         raise ShapeError("empty batch")
     if states.shape != (batch, grid.num_steps + 1, problem.d):
-        raise ShapeError(f"paths shaped {states.shape}, expected {(batch, grid.num_steps + 1, problem.d)}")
+        raise ShapeError(f"states shaped {states.shape}, expected {(batch, grid.num_steps + 1, problem.d)}")
     if incs.shape != (batch, grid.num_steps, problem.d):
         raise ShapeError(f"increments shaped {incs.shape}, expected {(batch, grid.num_steps, problem.d)}")
-    return states, incs
 
 
 def _terminal_values(problem, x_terminal):
@@ -208,12 +210,12 @@ def _in_blocks(problem, states, incs, forward):
     return y0, y, _checked_terminal(g)
 
 
-def _check_bank_paths(problem, bank, grid, paths, increments):
+def _check_bank_paths(problem, bank, grid, states, incs):
     if bank.d != problem.d:
         raise ConfigError(f"bank dimension {bank.d} != problem dimension {problem.d}")
     if bank.num_steps != grid.num_steps:
         raise ConfigError(f"bank has {bank.num_steps} steps, grid has {grid.num_steps}")
-    return _check_paths(problem, grid, paths, increments)
+    _check_paths(problem, grid, states, incs)
 
 
 def _bank_forward(problem, bank, grid, states, incs, head=None, steps=None):
@@ -233,7 +235,7 @@ def _bank_forward(problem, bank, grid, states, incs, head=None, steps=None):
     return y0, _forward(problem, grid, states, incs, y0, z_at, steps)
 
 
-def rollout_loss(tape, problem, bank, grid, paths, increments):
+def rollout_loss(tape, problem, bank, grid, states, incs):
     """Rollout that records on a fresh `tape` what `backward` reads.
 
     `tape.param_ids` follows flatten_params order, so a gradient vector is
@@ -241,7 +243,7 @@ def rollout_loss(tape, problem, bank, grid, paths, increments):
     """
     if tape.nodes:
         raise ConfigError("a tape records one rollout; pass a fresh Tape")
-    states, incs = _check_bank_paths(problem, bank, grid, paths, increments)
+    _check_bank_paths(problem, bank, grid, states, incs)
     head, steps = [], []
     y0, y = _bank_forward(problem, bank, grid, states, incs, head, steps)
     g = _checked_terminal(_terminal_values(problem, states[:, -1, :]))
@@ -292,16 +294,16 @@ def _add_layers(views, layers):
         view += arr
 
 
-def rollout_values(problem, bank, grid, paths, increments):
+def rollout_values(problem, bank, grid, states, incs):
     """The forward of rollout_loss, saving nothing, as plain arrays, in
     blocks of VALUE_BLOCK samples."""
-    states, incs = _check_bank_paths(problem, bank, grid, paths, increments)
+    _check_bank_paths(problem, bank, grid, states, incs)
     y0, y, g = _in_blocks(problem, states, incs, lambda s, i: _bank_forward(problem, bank, grid, s, i))
     gap = g - y
     return ValueRollout(loss=_mse(gap), y0_values=y0, terminal_values=y, terminal_gap=gap)
 
 
-def oracle_rollout_loss(problem, grid, paths, increments):
+def oracle_rollout_loss(problem, grid, states, incs):
     """Rollout with the closed-form solution in place of the networks.
 
     The initial value is u(0, x_0) and each step feeds z = s grad u exactly,
@@ -310,7 +312,7 @@ def oracle_rollout_loss(problem, grid, paths, increments):
     """
     if problem.exact is None:
         raise ConfigError(f"problem '{problem.name}' has no closed-form solution")
-    states, incs = _check_paths(problem, grid, paths, increments)
+    _check_paths(problem, grid, states, incs)
 
     def z_at(n, x_n, saved):
         t_n = float(grid.times[n])
@@ -334,6 +336,6 @@ def estimate_u0(bank, problem, n_eval, stream):
         raise ConfigError(f"n_eval must be at least 1, got {n_eval}")
     if bank.xi_mode == "point":
         return float(bank.y0), 0.0
-    x = sample_xi(problem, n_eval, stream)
+    x = problem.xi.sample_block(stream, 0, n_eval)
     vals = mlp_eval(bank.y0_net, bank.activation, x)[:, 0]
     return float(np.mean(vals)), float(np.std(vals))

@@ -5,8 +5,9 @@ values are comma separated. Every key is checked against the schema below;
 unknown keys are rejected with the accepted list so typos fail loudly.
 
 `lr = r` is the one-entry schedule `lr_values = r`, so setting both is a
-repeated key. Every value is checked at parse time: the rates, the
-boundaries and that each hidden width is an integer here, the problem
+repeated key. Every value is checked at parse time: its type (an integer
+that is no bool, or a finite float, from Python as from text, so the records
+are plain JSON), the counts, rates, boundaries and grad_clip here, the problem
 settings and the network shape by the code that builds them (`get_problem`,
 `net.layout`), so a wrong-length xi0, an unknown sharing or a zero hidden
 width fails before training. So does a key that would change nothing: a
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .net import SubnetBank, default_hidden, layout
-from .problems import get_problem
+from .problems import as_number, get_problem
 
 OPTIMIZERS = ("adam", "sgd")
 
@@ -51,6 +52,8 @@ class RunConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
+        for key in ("d", "N", "batch_size", "iterations", "seed", "eval_every", "eval_samples"):
+            setattr(self, key, _integer(getattr(self, key), key))
         for key in ("d", "N", "batch_size", "eval_every", "eval_samples"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"'{key}' must be at least 1, got {getattr(self, key)}")
@@ -58,10 +61,12 @@ class RunConfig:
             raise ConfigError(f"'iterations' must be non-negative, got {self.iterations}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer '{self.optimizer}' (expected one of {OPTIMIZERS})")
+        for key in ("T", "lam", "grad_clip"):
+            setattr(self, key, as_number(getattr(self, key), key))
         if self.grad_clip < 0.0:
             raise ConfigError(f"'grad_clip' must be non-negative, got {self.grad_clip}")
-        self.lr_values = tuple(float(r) for r in self.lr_values)
-        self.lr_boundaries = tuple(int(b) for b in self.lr_boundaries)
+        self.lr_values = _each(as_number, self.lr_values, "lr_values")
+        self.lr_boundaries = _each(_integer, self.lr_boundaries, "lr_boundaries")
         if len(self.lr_values) != len(self.lr_boundaries) + 1:
             raise ConfigError(
                 f"'lr_values' needs exactly one more entry than 'lr_boundaries', "
@@ -74,10 +79,7 @@ class RunConfig:
                 f"'lr_boundaries' must be strictly increasing from above 0, got {self.lr_boundaries}"
             )
         if self.hidden is not None:
-            if not isinstance(self.hidden, (tuple, list)) or any(
-                    isinstance(w, bool) or not isinstance(w, numbers.Integral) for w in self.hidden):
-                raise ConfigError(f"'hidden' must be a list of integer widths, got {self.hidden!r}")
-            self.hidden = tuple(int(w) for w in self.hidden)
+            self.hidden = _each(_integer, self.hidden, "hidden")
         self.build_problem()
         # one step has every check of N steps, without naming N steps' tensors
         layout(self.xi_mode, self.sharing, self.d, 1, self.hidden_widths(), self.activation)
@@ -104,6 +106,20 @@ class RunConfig:
             self.xi_mode, self.sharing, self.d, self.N,
             hidden=self.hidden_widths(), activation=self.activation, seed=seed,
         )
+
+
+def _integer(value, key):
+    """int(value) for an integer, numpy's too; else a ConfigError naming key."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"'{key}' must be an integer, got {value!r}")
+    return int(value)
+
+
+def _each(check, values, key):
+    """tuple(check(v, key) for v in values) for a tuple or list of values."""
+    if not isinstance(values, (tuple, list)):
+        raise ConfigError(f"'{key}' must be a list, got {values!r}")
+    return tuple(check(v, key) for v in values)
 
 
 def _parse_int(text):

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf as gttrf, dgttrs as gttrs
 
 from .errors import ConfigError, NumericError
-from .problems import as_vector
+from .problems import as_vector, check_horizon
 # simulate_paths is no longer called here, but benchmarks/tracing.py wraps
 # it under this module's name, where it now sees no calls
 from .sde import PASS_SIZE, simulate_paths  # noqa: F401
@@ -51,7 +51,8 @@ def _terminal_values(g, x0, scale, n_samples, stream):
 
 def mc_feynman_kac(problem, x0, n_samples, grid, stream):
     """Plain Monte Carlo average of g(x0 + s sqrt(T) Z), the exact law of X_T
-    from x0, with T = grid.horizon, the one value of the grid it reads.
+    from x0. Of the grid it reads only the final time, which must be the
+    problem's T.
 
     Valid only for a zero driver (f is None): with a driver the average of g
     no longer represents the solution, so that misuse is rejected.
@@ -60,8 +61,9 @@ def mc_feynman_kac(problem, x0, n_samples, grid, stream):
         raise ConfigError(
             f"problem '{problem.name}' has a nonzero driver; this estimator applies only to f == 0"
         )
+    check_horizon(problem, grid)
     x0 = as_vector(x0, problem.d, "x0")
-    values = _terminal_values(problem.g, x0, problem.sigma * math.sqrt(grid.horizon),
+    values = _terminal_values(problem.g, x0, problem.sigma * math.sqrt(problem.T),
                               n_samples, stream)
     value = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(n_samples))

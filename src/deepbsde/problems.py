@@ -100,17 +100,16 @@ class ProblemSpec:
             raise ConfigError(f"dimension must be at least 1, got {self.d}")
         if self.T <= 0.0:
             raise ConfigError(f"'T' must be positive, got {self.T}")
-        if _number(self.sigma, "sigma") < 0.0:
+        if as_number(self.sigma, "sigma") < 0.0:
             raise ConfigError(f"'sigma' must not be negative, got {self.sigma}")
         if self.xi.dim != self.d:
             raise ShapeError(f"initial sampler is {self.xi.dim}-dimensional, problem is {self.d}")
 
 
-def sample_xi(problem, batch, stream):
-    """Draw `batch` starting points from the problem's initial law."""
-    if batch < 1:
-        raise ConfigError(f"batch must be at least 1, got {batch}")
-    return problem.xi.sample_block(stream, 0, batch)
+def check_horizon(problem, grid):
+    """A time grid serves a problem only if it ends at the problem's T."""
+    if grid.horizon != problem.T:
+        raise ConfigError(f"time grid ends at {grid.horizon}, problem '{problem.name}' has T = {problem.T}")
 
 
 def _sq_norm(x):
@@ -181,7 +180,7 @@ def _allen_cahn(d, T, xi):
 _COMMON_KEYS = ("T", "xi_mode", "xi0", "box_low", "box_high")
 
 
-def _number(value, key):
+def as_number(value, key):
     """float(value) for a finite real number; a boolean, a string, a NaN, an
     infinity or anything else is a ConfigError naming the key."""
     number = isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
@@ -196,7 +195,7 @@ def as_vector(value, d, key):
     items = value.reshape(-1).tolist() if isinstance(value, np.ndarray) else value
     if not isinstance(items, (list, tuple)):
         items = [items]
-    arr = np.array([_number(v, key) for v in items], dtype=np.float64)
+    arr = np.array([as_number(v, key) for v in items], dtype=np.float64)
     if arr.size == 1:
         return np.full(d, arr[0])
     if arr.size != d:
@@ -238,12 +237,12 @@ def get_problem(name, d, overrides=None):
         )
     if d < 1:
         raise ConfigError(f"dimension must be at least 1, got {d}")
-    T = _number(overrides.get("T", 1.0), "T")
+    T = as_number(overrides.get("T", 1.0), "T")
     xi = _build_xi(d, overrides)
     if name == "heat":
         return _heat(d, T, xi)
     if name == "hjb":
-        lam = _number(overrides.get("lambda", 1.0), "lambda")
+        lam = as_number(overrides.get("lambda", 1.0), "lambda")
         if lam <= 0.0:
             raise ConfigError(f"override 'lambda' must be positive, got {lam}")
         return _hjb(d, T, lam, xi)

@@ -219,9 +219,6 @@ class RngStream:
                 self._cached_normal = float(out[n])
         return out[:n]
 
-    def normal(self):
-        return float(self.normals(1)[0])
-
 
 def _derived_states(stream, stages, lo, hi):
     """[hi-lo, len(stages)] seed states; entry [i, k] is that of
@@ -287,20 +284,6 @@ def make_uniform_grid(horizon, num_steps):
     return TimeGrid(times)
 
 
-@dataclass(frozen=True)
-class BrownianBatch:
-    """Step increments, [batch, N, d]; increment n has variance dt_n per axis."""
-
-    increments: np.ndarray
-
-
-@dataclass(frozen=True)
-class PathBatch:
-    """Forward states, [batch, N+1, d]; slice [:, 0, :] is the initial draw."""
-
-    states: np.ndarray
-
-
 def _simulate_chunk(problem, grid, stream, lo, hi, states, increments):
     """Fill rows [lo, hi) of states and of the C-contiguous increments:
     every step's increments drawn at once, then X_{n+1} = X_n + s dW_n.
@@ -334,7 +317,10 @@ def _simulate_chunk(problem, grid, stream, lo, hi, states, increments):
 
 
 def simulate_paths(problem, grid, batch, stream):
-    """Simulate forward paths; returns (PathBatch, BrownianBatch).
+    """Simulate forward paths; returns (states, increments), C-contiguous
+    float64 arrays shaped [batch, N+1, d] and [batch, N, d]. states[:, 0, :]
+    is the initial draw and states[:, n+1, :] = states[:, n, :] +
+    s increments[:, n, :]; increment n has variance dt_n per axis.
 
     Sample i draws its initial point from the sub-stream (0, i) and its
     step-n increments from (n+1, i), so any [lo, hi) slice of the batch
@@ -348,4 +334,4 @@ def simulate_paths(problem, grid, batch, stream):
     states = np.empty((batch, n_steps + 1, d), dtype=np.float64)
     increments = np.empty((batch, n_steps, d), dtype=np.float64)
     _simulate_chunk(problem, grid, stream, 0, batch, states, increments)
-    return PathBatch(states), BrownianBatch(increments)
+    return states, increments

@@ -8,7 +8,7 @@ from deepbsde.bsde import Tape, backward, rollout_loss
 from deepbsde.errors import ConfigError, NumericError, ShapeError
 from deepbsde.net import SHARINGS, SubnetBank, mlp_backward, mlp_eval
 from deepbsde.problems import XI_MODES, ProblemSpec, XiSampler, get_problem
-from deepbsde.sde import BrownianBatch, PathBatch, RngStream, make_uniform_grid, simulate_paths
+from deepbsde.sde import RngStream, make_uniform_grid, simulate_paths
 
 from conftest import bare_net, central_diff_grad, max_rel_err
 
@@ -25,10 +25,9 @@ def _one_step(y0, z0, dw, g, T=1.0, f=None, df=None):
     bank = SubnetBank("point", "independent", d, 1)
     bank.y0[...] = y0
     bank.z0[...] = z0
-    paths = PathBatch(np.stack([np.zeros_like(dw), dw], axis=1))
+    states = np.stack([np.zeros_like(dw), dw], axis=1)
     tape = Tape()
-    result = rollout_loss(tape, problem, bank, make_uniform_grid(T, 1), paths,
-                          BrownianBatch(dw[:, None, :]))
+    result = rollout_loss(tape, problem, bank, make_uniform_grid(T, 1), states, dw[:, None, :])
     return tape, result
 
 
@@ -167,8 +166,7 @@ def _small_rollout(increments_scale=None):
         incs *= np.asarray(increments_scale)[None, :, None]
     states = np.concatenate([np.zeros((5, 1, d)), np.cumsum(incs, axis=1)], axis=1)
     tape = Tape()
-    result = rollout_loss(tape, problem, bank, make_uniform_grid(1.0, n),
-                          PathBatch(states), BrownianBatch(incs))
+    result = rollout_loss(tape, problem, bank, make_uniform_grid(1.0, n), states, incs)
     return tape, result, bank
 
 

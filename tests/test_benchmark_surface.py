@@ -4,8 +4,12 @@ The benchmark's own self-tests run outside this suite, so a change that
 drops a name its tracer wraps, one its gradient probe or eval phase calls,
 or a config attribute it reads (T, N, lam, eval_samples), would pass here
 and then fail every benchmark run. These tests make it fail here.
+
+The tracer is also the one reason a module in src/ may import a name it
+never reads: the last test fails on any other unused import.
 """
 
+import ast
 import dataclasses
 import sys
 from pathlib import Path
@@ -62,3 +66,33 @@ def test_eval_phase_runs_on_a_saved_bank(name, tmp_path):
     ev = workload.evaluate(inp, tmp_path)
     assert np.array_equal(ev.bank.theta, bank.theta)
     assert np.isfinite(ev.values.loss) and np.isfinite(ev.u0)
+
+
+def _unread_imports(path):
+    """{name: line} of the names a module imports and never reads; a name
+    listed in __all__ counts as read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name.split(".")[0]: alias.lineno
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return {name: line for name, line in imported.items() if name not in read}
+
+
+def test_src_imports_only_names_it_reads():
+    # an import kept only so that the tracer can wrap it under the importing
+    # module is marked noqa: F401; it goes together with its TARGETS entry
+    wrapped = {(getattr(owner, "__name__", owner), attr) for owner, attr, _, _ in tracing.TARGETS}
+    src = Path(deepbsde.__file__).resolve().parent
+    unread = []
+    for path in sorted(src.glob("*.py")):
+        module = "deepbsde" if path.stem == "__init__" else f"deepbsde.{path.stem}"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for name, line in _unread_imports(path).items():
+            if "# noqa: F401" not in lines[line - 1] or (module, name) not in wrapped:
+                unread.append(f"{path.name}:{line} {name}")
+    assert unread == []

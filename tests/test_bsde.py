@@ -15,7 +15,7 @@ from deepbsde.bsde import (
 from deepbsde.errors import ConfigError, NumericError
 from deepbsde.net import SubnetBank, flatten_params, param_count, unflatten_params
 from deepbsde.problems import ProblemSpec, XiSampler, get_problem
-from deepbsde.sde import BrownianBatch, PathBatch, RngStream, make_uniform_grid, simulate_paths
+from deepbsde.sde import RngStream, make_uniform_grid, simulate_paths
 
 from conftest import central_diff_grad, max_rel_err
 
@@ -38,8 +38,8 @@ def test_hand_rollout_single_path():
     vec = flatten_params(bank)
     vec[:] = [0.0, 1.0]
     bank = unflatten_params(bank, vec)
-    paths = PathBatch(np.array([[[0.0], [0.5]]]))
-    incs = BrownianBatch(np.array([[[0.5]]]))
+    paths = np.array([[[0.0], [0.5]]])
+    incs = np.array([[[0.5]]])
     tape = Tape()
     result = rollout_loss(tape, p, bank, grid, paths, incs)
     assert float(result.loss.value) == 0.0
@@ -140,7 +140,7 @@ def test_blocked_rollout_failures_name_whole_batch_step_and_sample(plant, messag
     # reaches Y at step n through Z_n, and X_6 = X_N only through g
     p, grid, bank, paths, incs = _two_blocks_and_five("heat", "point", 6, (4,), 43)
     for sample, step in plant:
-        paths.states[sample, step, :] = np.nan
+        paths[sample, step, :] = np.nan
     with pytest.raises(NumericError) as whole:
         rollout_loss(Tape(), p, bank, grid, paths, incs)
     assert str(whole.value) == message
@@ -298,10 +298,9 @@ def test_estimate_u0_affine_head_over_box():
     # an input-dependent head must reproduce the brute-force mean/spread
     # over the identical draw sequence
     from deepbsde.net import mlp_eval
-    from deepbsde.problems import sample_xi
     bank2 = SubnetBank.create("box", "independent", 2, 2, hidden=(4, 4), seed=9)
     mean2, spread2 = estimate_u0(bank2, p, n_eval, RngStream(41))
-    draws = sample_xi(p, n_eval, RngStream(41))
+    draws = p.xi.sample_block(RngStream(41), 0, n_eval)
     want = mlp_eval(bank2.y0_net, bank2.activation, draws)[:, 0]
     assert mean2 == pytest.approx(want.mean(), abs=1e-12)
     assert spread2 == pytest.approx(want.std(), abs=1e-12)
@@ -321,6 +320,22 @@ def test_bank_grid_mismatch_rejected():
     with pytest.raises(ConfigError):
         tape = Tape()
         rollout_loss(tape, p, bank, grid, paths, incs)
+
+
+def test_grid_off_the_problem_horizon_rejected():
+    # heat d=2 has T = 1; on paths over [0, 4] the rollouts once returned
+    # losses of the wrong horizon with no error
+    p = get_problem("heat", 2)
+    grid = make_uniform_grid(4.0, 5)
+    bank = SubnetBank.create("point", "independent", 2, 5)
+    paths, incs = simulate_paths(p, grid, 4, RngStream(0))
+    message = r"time grid ends at 4\.0, problem 'heat' has T = 1\.0"
+    with pytest.raises(ConfigError, match=message):
+        rollout_loss(Tape(), p, bank, grid, paths, incs)
+    with pytest.raises(ConfigError, match=message):
+        rollout_values(p, bank, grid, paths, incs)
+    with pytest.raises(ConfigError, match=message):
+        oracle_rollout_loss(p, grid, paths, incs)
 
 
 def test_rollout_gradients_match_finite_differences():

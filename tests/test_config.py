@@ -1,5 +1,7 @@
 """Config parsing: schema, aliases, defaults, and error reporting."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -330,3 +332,31 @@ def test_runconfig_stores_integer_widths_as_python_ints():
                     hidden=[np.int64(6), 5])
     assert cfg.hidden == (6, 5)
     assert all(type(w) is int for w in cfg.hidden)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("grad_clip", math.inf), ("grad_clip", math.nan), ("grad_clip", True), ("lam", math.inf),
+    ("N", 2.0), ("batch_size", 8.5), ("iterations", 1.5), ("seed", 1.5), ("eval_every", True),
+    ("lr_boundaries", (1.5,)), ("lr_boundaries", 2), ("lr_values", (math.inf, 0.1)), ("lr_values", 0.1),
+], ids=["clip-inf", "clip-nan", "clip-bool", "lam-inf", "N-float", "batch-fraction",
+        "iterations-fraction", "seed-fraction", "eval-every-bool", "boundary-fraction",
+        "boundaries-bare", "rate-inf", "rates-bare"])
+def test_runconfig_rejects_what_the_parser_rejects_in_text(field, value):
+    # in Python these once trained, failed with TypeError, rounded a
+    # boundary down or wrote Infinity and NaN into the JSON records
+    fields = dict(problem="heat", d=2, N=4, batch_size=8, iterations=1, seed=0,
+                  lr_values=(0.1, 0.01), lr_boundaries=(2,))
+    fields[field] = value
+    with pytest.raises(ConfigError, match=f"'{field}' must be (an integer|a finite number|a list)"):
+        RunConfig(**fields)
+
+
+def test_runconfig_stores_python_numbers():
+    # T = 1 once echoed as 1 where the parsed text echoes 1.0
+    cfg = RunConfig(problem="heat", d=np.int64(2), N=np.int64(4), batch_size=8, iterations=1,
+                    seed=0, T=1, grad_clip=np.float32(0.5), lr_boundaries=[np.int64(2)],
+                    lr_values=(0.1, np.float64(0.01)))
+    assert (cfg.d, cfg.N, cfg.T, cfg.grad_clip, cfg.lr_boundaries) == (2, 4, 1.0, 0.5, (2,))
+    assert type(cfg.d) is int and type(cfg.N) is int and type(cfg.T) is float
+    assert type(cfg.grad_clip) is float
+    assert type(cfg.lr_boundaries[0]) is int and all(type(r) is float for r in cfg.lr_values)

@@ -55,6 +55,13 @@ def test_fk_rejects_nonzero_driver():
         mc_feynman_kac(p, np.zeros(1), 1000, make_uniform_grid(1.0, 4), RngStream(0))
 
 
+def test_fk_rejects_a_grid_off_the_problem_horizon():
+    # heat d=2, T=1 has u(0, 0) = 4; a grid ending at 4 once gave about 16
+    p = get_problem("heat", 2)
+    with pytest.raises(ConfigError, match=r"time grid ends at 4\.0, problem 'heat' has T = 1\.0"):
+        mc_feynman_kac(p, np.zeros(2), 1000, make_uniform_grid(4.0, 4), RngStream(0))
+
+
 def test_fk_rejects_tiny_sample():
     p = get_problem("heat", 1)
     with pytest.raises(ConfigError):

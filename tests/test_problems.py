@@ -10,7 +10,6 @@ from deepbsde.problems import (
     exact_eval,
     get_problem,
     pde_residual,
-    sample_xi,
 )
 from deepbsde.sde import RngStream
 
@@ -144,15 +143,15 @@ def test_pde_residual_audit_heat():
         assert abs(pde_residual(p, t, x)) < 1e-4
 
 
-def test_sample_xi_point_mass_replicates():
+def test_sample_block_point_mass_replicates():
     p = get_problem("heat", 3, {"xi0": (1.0, 1.0, 1.0)})
-    draws = sample_xi(p, 8, RngStream(1))
+    draws = p.xi.sample_block(RngStream(1), 0, 8)
     assert np.array_equal(draws, np.ones((8, 3)))
 
 
-def test_sample_xi_box_statistics():
+def test_sample_block_box_statistics():
     p = get_problem("heat", 2, {"xi_mode": "box", "box_low": (-1.0,), "box_high": (1.0,)})
-    draws = sample_xi(p, 100_000, RngStream(4))
+    draws = p.xi.sample_block(RngStream(4), 0, 100_000)
     # uniform on [-1,1]: sd = sqrt(1/3), se of mean = sd/sqrt(n)
     se = np.sqrt(1.0 / 3.0) / np.sqrt(draws.shape[0])
     for k in range(2):
@@ -163,7 +162,7 @@ def test_sample_xi_box_statistics():
 
 def test_degenerate_box_is_point_mass():
     p = get_problem("heat", 2, {"xi_mode": "box", "box_low": (0.3,), "box_high": (0.3,)})
-    draws = sample_xi(p, 16, RngStream(9))
+    draws = p.xi.sample_block(RngStream(9), 0, 16)
     assert np.array_equal(draws, np.full((16, 2), 0.3))
 
 

@@ -117,7 +117,7 @@ def test_scalar_draws_match_vector_draws():
     a = RngStream(11)
     b = RngStream(11)
     vec = b.normals(7)
-    got = np.array([a.normal() for _ in range(7)])
+    got = np.array([a.normals(1)[0] for _ in range(7)])
     assert np.array_equal(got, vec)
 
 
@@ -194,7 +194,7 @@ def test_simulated_paths_pinned(key):
     name, d, batch, steps, overrides = key
     p = get_problem(name, d, dict(overrides))
     paths, incs = simulate_paths(p, make_uniform_grid(p.T, steps), batch, RngStream(31))
-    assert (_digest(paths.states), _digest(incs.increments)) == SIMULATE_PINS[key], machine()
+    assert (_digest(paths), _digest(incs)) == SIMULATE_PINS[key], machine()
 
 
 def test_normals_split_across_a_pass_boundary():
@@ -293,23 +293,23 @@ def test_frozen_paths_under_zero_coefficients():
     )
     paths, _ = simulate_paths(p, make_uniform_grid(1.0, 5), 4, RngStream(1))
     for n in range(6):
-        assert np.array_equal(paths.states[:, n, :], np.tile([1.5, -2.0], (4, 1)))
+        assert np.array_equal(paths[:, n, :], np.tile([1.5, -2.0], (4, 1)))
 
 
 def test_telescoping_sum_of_increments():
     p = _free_problem(1, 1.0)
     grid = make_uniform_grid(1.0, 8)
     paths, incs = simulate_paths(p, grid, 16, RngStream(3))
-    x = paths.states[:, 0, :].copy()
+    x = paths[:, 0, :].copy()
     for n in range(8):
-        x = x + incs.increments[:, n, :]
-    assert np.array_equal(x, paths.states[:, 8, :])
+        x = x + incs[:, n, :]
+    assert np.array_equal(x, paths[:, 8, :])
 
 
 def test_terminal_variance_matches_brownian_law():
     p = _free_problem(1, 1.0)
     paths, _ = simulate_paths(p, make_uniform_grid(1.0, 10), 100_000, RngStream(8))
-    var = paths.states[:, -1, 0].var()
+    var = paths[:, -1, 0].var()
     assert abs(var - 1.0) < 0.03
 
 
@@ -318,12 +318,12 @@ def test_increment_statistics():
     grid = make_uniform_grid(1.0, 4)
     _, incs = simulate_paths(p, grid, 100_000, RngStream(12))
     dt = 0.25
-    n = incs.increments.shape[0]
+    n = incs.shape[0]
     se_mean = np.sqrt(dt / n)
     se_var = dt * np.sqrt(2.0 / n)
     for step in range(4):
         for k in range(3):
-            col = incs.increments[:, step, k]
+            col = incs[:, step, k]
             assert abs(col.mean()) < 4 * se_mean
             assert abs(col.var() - dt) < 4 * se_var
 
@@ -337,9 +337,13 @@ def test_paths_accumulate_scaled_increments_bitwise():
     )
     grid = make_uniform_grid(1.0, 6)
     paths, incs = simulate_paths(p, grid, 32, RngStream(21))
+    # the two arrays themselves, as the rollouts take them
+    for arr, shape in ((paths, (32, 7, 2)), (incs, (32, 6, 2))):
+        assert type(arr) is np.ndarray and arr.dtype == np.float64 and arr.shape == shape
+        assert arr.flags.c_contiguous
     for n in range(6):
-        want = paths.states[:, n, :] + 1.7 * incs.increments[:, n, :]
-        assert np.array_equal(paths.states[:, n + 1, :], want)
+        want = paths[:, n, :] + 1.7 * incs[:, n, :]
+        assert np.array_equal(paths[:, n + 1, :], want)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -348,7 +352,7 @@ def test_overflowing_paths_name_the_first_bad_sample():
     # the running sum of some samples, and the first of them is named
     grid = make_uniform_grid(1.0, 4)
     _, incs = simulate_paths(_free_problem(2, 1.0), grid, 64, RngStream(3))
-    sums = np.cumsum(1e308 * incs.increments, axis=1)
+    sums = np.cumsum(1e308 * incs, axis=1)
     first = int(np.flatnonzero(~np.isfinite(sums).all(axis=(1, 2)))[0])
     assert first > 0
     with pytest.raises(NumericError, match=f"non-finite state in sample {first}$"):
@@ -360,8 +364,8 @@ def test_seed_determinism():
     grid = make_uniform_grid(1.0, 5)
     a_paths, a_incs = simulate_paths(p, grid, 64, RngStream(99))
     b_paths, b_incs = simulate_paths(p, grid, 64, RngStream(99))
-    assert np.array_equal(a_paths.states, b_paths.states)
-    assert np.array_equal(a_incs.increments, b_incs.increments)
+    assert np.array_equal(a_paths, b_paths)
+    assert np.array_equal(a_incs, b_incs)
 
 
 def test_parallel_simulation_matches_serial():
@@ -375,11 +379,11 @@ def test_parallel_simulation_matches_serial():
     grid = make_uniform_grid(1.0, 7)
     full_paths, full_incs = simulate_paths(p, grid, 101, RngStream(5))
     for lo, hi in ((0, 26), (26, 27), (27, 101)):
-        states = np.full(full_paths.states.shape, np.nan)
-        incs = np.full(full_incs.increments.shape, np.nan)
+        states = np.full(full_paths.shape, np.nan)
+        incs = np.full(full_incs.shape, np.nan)
         _simulate_chunk(p, grid, RngStream(5), lo, hi, states, incs)
-        assert np.array_equal(states[lo:hi], full_paths.states[lo:hi])
-        assert np.array_equal(incs[lo:hi], full_incs.increments[lo:hi])
+        assert np.array_equal(states[lo:hi], full_paths[lo:hi])
+        assert np.array_equal(incs[lo:hi], full_incs[lo:hi])
 
 
 def test_simulation_rejects_empty_batch():
