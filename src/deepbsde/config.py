@@ -1,23 +1,28 @@
 """Flat `key = value` run configuration.
 
 Files are UTF-8 text, one option per line, `#` starts a comment, list
-values are comma separated. Every key is checked against the schema below;
-unknown keys are rejected with the accepted list so typos fail loudly.
+values are comma separated. RunConfig's field annotations are the one table
+of settings: a field's kind (int, float or str, or a tuple of one) says how
+the parser reads its text and how `__post_init__` checks its value, from a
+file as from Python. A file key is a field's name, `lambda` for `lam`;
+`batch` and `lr` are the same keys as `batch_size` and `lr_values`, so
+setting both of a pair is a repeated key. Unknown keys are rejected with the
+accepted list so typos fail loudly.
 
-`lr = r` is the one-entry schedule `lr_values = r`, so setting both is a
-repeated key. Every value is checked at parse time: its type (an integer
-that is no bool, or a finite float, from Python as from text, so the records
-are plain JSON), the counts, rates, boundaries and grad_clip here, the problem
-settings and the network shape by the code that builds them (`get_problem`,
-`net.layout`), so a wrong-length xi0, an unknown sharing or a zero hidden
-width fails before training. So does a key that would change nothing: a
-start-law key the chosen xi_mode ignores, or lambda for any problem but hjb.
+Every value is checked at parse time: its kind (an integer that is no bool,
+a finite float, a non-empty string, or a tuple or list of them, so the
+records are plain JSON), the counts, rates, boundaries and grad_clip here,
+the problem settings and the network shape by the code that builds them
+(`get_problem`, `net.layout`), so a wrong-length xi0, an unknown sharing or
+a zero hidden width fails before training. So does a key that would change
+nothing: a start-law key the chosen xi_mode ignores, or lambda for any
+problem but hjb.
 """
 
+import dataclasses
+import math
 import numbers
-from dataclasses import dataclass
-
-import numpy as np
+from typing import get_args
 
 from .errors import ConfigError
 from .net import SubnetBank, default_hidden, layout
@@ -26,7 +31,7 @@ from .problems import as_number, get_problem
 OPTIMIZERS = ("adam", "sgd")
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     problem: str
     d: int
@@ -36,24 +41,29 @@ class RunConfig:
     seed: int
     T: float = 1.0
     optimizer: str = "adam"
-    lr_values: tuple = (5e-3,)
-    lr_boundaries: tuple = ()
+    lr_values: tuple[float, ...] = (5e-3,)
+    lr_boundaries: tuple[int, ...] = ()
     grad_clip: float = 0.0
-    hidden: tuple | None = None
+    hidden: tuple[int, ...] | None = None
     activation: str = "tanh"
     sharing: str = "independent"
     xi_mode: str = "point"
-    xi0: tuple = (0.0,)
-    box_low: tuple = (-1.0,)
-    box_high: tuple = (1.0,)
+    xi0: tuple[float, ...] = (0.0,)
+    box_low: tuple[float, ...] = (-1.0,)
+    box_high: tuple[float, ...] = (1.0,)
     lam: float = 1.0
     eval_every: int = 100
     eval_samples: int = 1024
     output_dir: str = "out"
 
     def __post_init__(self):
-        for key in ("d", "N", "batch_size", "iterations", "seed", "eval_every", "eval_samples"):
-            setattr(self, key, _integer(getattr(self, key), key))
+        for field in dataclasses.fields(self):
+            key, value = field.name, getattr(self, field.name)
+            if value is None and type(None) in get_args(field.type):
+                continue
+            element, listed = _kind(field.type)
+            check = _ELEMENTS[element][0]
+            setattr(self, key, _each(check, value, key) if listed else check(value, key))
         for key in ("d", "N", "batch_size", "eval_every", "eval_samples"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"'{key}' must be at least 1, got {getattr(self, key)}")
@@ -61,12 +71,8 @@ class RunConfig:
             raise ConfigError(f"'iterations' must be non-negative, got {self.iterations}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer '{self.optimizer}' (expected one of {OPTIMIZERS})")
-        for key in ("T", "lam", "grad_clip"):
-            setattr(self, key, as_number(getattr(self, key), key))
         if self.grad_clip < 0.0:
             raise ConfigError(f"'grad_clip' must be non-negative, got {self.grad_clip}")
-        self.lr_values = _each(as_number, self.lr_values, "lr_values")
-        self.lr_boundaries = _each(_integer, self.lr_boundaries, "lr_boundaries")
         if len(self.lr_values) != len(self.lr_boundaries) + 1:
             raise ConfigError(
                 f"'lr_values' needs exactly one more entry than 'lr_boundaries', "
@@ -78,8 +84,6 @@ class RunConfig:
             raise ConfigError(
                 f"'lr_boundaries' must be strictly increasing from above 0, got {self.lr_boundaries}"
             )
-        if self.hidden is not None:
-            self.hidden = _each(_integer, self.hidden, "hidden")
         self.build_problem()
         # one step has every check of N steps, without naming N steps' tensors
         layout(self.xi_mode, self.sharing, self.d, 1, self.hidden_widths(), self.activation)
@@ -115,6 +119,13 @@ def _integer(value, key):
     return int(value)
 
 
+def _string(value, key):
+    """value for a non-empty string; else a ConfigError naming key."""
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"'{key}' must be a non-empty string, got {value!r}")
+    return value
+
+
 def _each(check, values, key):
     """tuple(check(v, key) for v in values) for a tuple or list of values."""
     if not isinstance(values, (tuple, list)):
@@ -122,58 +133,42 @@ def _each(check, values, key):
     return tuple(check(v, key) for v in values)
 
 
-def _parse_int(text):
-    return int(text, 0)
-
-
 def _parse_float(text):
     value = float(text)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(f"non-finite value {text!r}")
     return value
 
 
-def _parse_str(text):
-    return text
+def _kind(annotation):
+    """(element type, whether a list) of a RunConfig annotation: int, float
+    or str, or tuple[<one of them>, ...], either of them maybe `| None`."""
+    args = get_args(annotation)
+    if type(None) in args:
+        return _kind(args[0])
+    return (args[0], True) if args else (annotation, False)
 
 
-def _parse_float_list(text):
-    return tuple(_parse_float(part.strip()) for part in text.split(",") if part.strip())
-
-
-def _parse_int_list(text):
-    return tuple(_parse_int(part.strip()) for part in text.split(",") if part.strip())
-
-
-# key -> (RunConfig field, parser); aliases map onto the same field
-_SCHEMA = {
-    "problem": ("problem", _parse_str),
-    "d": ("d", _parse_int),
-    "T": ("T", _parse_float),
-    "N": ("N", _parse_int),
-    "batch_size": ("batch_size", _parse_int),
-    "batch": ("batch_size", _parse_int),
-    "iterations": ("iterations", _parse_int),
-    "seed": ("seed", _parse_int),
-    "optimizer": ("optimizer", _parse_str),
-    "lr": ("lr_values", lambda text: (_parse_float(text),)),
-    "lr_values": ("lr_values", _parse_float_list),
-    "lr_boundaries": ("lr_boundaries", _parse_int_list),
-    "grad_clip": ("grad_clip", _parse_float),
-    "hidden": ("hidden", _parse_int_list),
-    "activation": ("activation", _parse_str),
-    "sharing": ("sharing", _parse_str),
-    "xi_mode": ("xi_mode", _parse_str),
-    "xi0": ("xi0", _parse_float_list),
-    "box_low": ("box_low", _parse_float_list),
-    "box_high": ("box_high", _parse_float_list),
-    "lambda": ("lam", _parse_float),
-    "eval_every": ("eval_every", _parse_int),
-    "eval_samples": ("eval_samples", _parse_int),
-    "output_dir": ("output_dir", _parse_str),
+# element type -> (check of a value from Python, reader of a value's text)
+_ELEMENTS = {
+    int: (_integer, lambda text: int(text, 0)),
+    float: (as_number, _parse_float),
+    str: (_string, str),
 }
 
-_REQUIRED = ("problem", "d", "N", "batch_size", "iterations", "seed")
+# file key -> RunConfig field: each field by its own name but lam, and three aliases
+_KEYS = {f.name: f.name for f in dataclasses.fields(RunConfig) if f.name != "lam"} | {
+    "batch": "batch_size", "lr": "lr_values", "lambda": "lam"}
+_REQUIRED = tuple(f.name for f in dataclasses.fields(RunConfig) if f.default is dataclasses.MISSING)
+
+
+def _read(text, annotation):
+    """The value a file's text gives a field of this annotation."""
+    element, listed = _kind(annotation)
+    read = _ELEMENTS[element][1]
+    if listed:
+        return tuple(read(part.strip()) for part in text.split(",") if part.strip())
+    return read(text)
 
 
 def parse_config_text(text, source="<config>"):
@@ -189,17 +184,17 @@ def parse_config_text(text, source="<config>"):
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _SCHEMA:
+        if key not in _KEYS:
             raise ConfigError(
-                f"{source}:{lineno}: unknown key '{key}' (accepted: {', '.join(sorted(_SCHEMA))})"
+                f"{source}:{lineno}: unknown key '{key}' (accepted: {', '.join(sorted(_KEYS))})"
             )
-        target, parser = _SCHEMA[key]
+        target = _KEYS[key]
         if target in seen:
             first, line = seen[target]
             raise ConfigError(f"{source}:{lineno}: key '{key}' already set on line {line} by '{first}'")
         seen[target] = key, lineno
         try:
-            fields[target] = parser(value)
+            fields[target] = _read(value, RunConfig.__annotations__[target])
         except ValueError as e:
             raise ConfigError(f"{source}:{lineno}: bad value for '{key}': {e}") from e
     missing = [key for key in _REQUIRED if key not in fields]
@@ -210,7 +205,7 @@ def parse_config_text(text, source="<config>"):
     # it only through problem_overrides
     reaching = config.problem_overrides()
     for key in ("xi0", "box_low", "box_high", "lambda"):
-        target = _SCHEMA[key][0]
+        target = _KEYS[key]
         if target in fields and key not in reaching:
             raise ConfigError(
                 f"{source}:{seen[target][1]}: '{key}' has no effect with problem = "

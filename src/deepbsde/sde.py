@@ -30,6 +30,8 @@ the mixing, the float conversion and Box-Muller run in place on cache-sized
 blocks instead of streaming full-length temporaries through memory.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -275,10 +277,11 @@ class TimeGrid:
 
 def make_uniform_grid(horizon, num_steps):
     """Uniform grid on [0, horizon] with the final time pinned exactly."""
-    if horizon <= 0.0:
-        raise ConfigError(f"horizon must be positive, got {horizon}")
-    if num_steps < 1:
-        raise ConfigError(f"need at least one time step, got {num_steps}")
+    real = isinstance(horizon, numbers.Real) and not isinstance(horizon, bool)
+    if not real or not math.isfinite(horizon) or horizon <= 0.0:
+        raise ConfigError(f"horizon must be a finite number > 0, got {horizon!r}")
+    if isinstance(num_steps, bool) or not isinstance(num_steps, numbers.Integral) or num_steps < 1:
+        raise ConfigError(f"num_steps must be an integer >= 1, got {num_steps!r}")
     times = np.arange(num_steps + 1, dtype=np.float64) * (horizon / num_steps)
     times[-1] = horizon
     return TimeGrid(times)

@@ -1,11 +1,13 @@
 """Config parsing: schema, aliases, defaults, and error reporting."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from deepbsde.config import RunConfig, parse_config, parse_config_text
+from deepbsde.config import _KEYS, RunConfig, parse_config, parse_config_text
 from deepbsde.errors import ConfigError
 from deepbsde.optim import lr_at
 
@@ -158,6 +160,12 @@ def test_lr_schedule_pairing():
     assert lr_at(cfg.lr_values, cfg.lr_boundaries, 500) == 0.001
 
 
+def test_lr_is_the_same_key_as_lr_values():
+    # a list after lr is a schedule, as after lr_values
+    cfg = parse_config_text(MINIMAL + "lr = 0.01, 0.001\nlr_boundaries = 5\n")
+    assert cfg.lr_values == (0.01, 0.001) and cfg.lr_boundaries == (5,)
+
+
 def test_lr_values_without_boundaries_rejected():
     # lr_values default to one rate and lr_boundaries to none, so each of
     # these is a length mismatch
@@ -237,6 +245,8 @@ def test_value_range_checks():
         ("hidden = 8, 0", "layer widths must be positive"),
         ("lr = 0", "rates must be positive"),
         ("lr = -0.01", "rates must be positive"),
+        # an empty value once sent the artifacts into the working directory
+        ("output_dir =", "'output_dir' must be a non-empty string"),
     ]
     for extra, fragment in cases:
         base = MINIMAL.replace("iterations = 2000\n", "") if extra.startswith("iterations") \
@@ -338,16 +348,19 @@ def test_runconfig_stores_integer_widths_as_python_ints():
     ("grad_clip", math.inf), ("grad_clip", math.nan), ("grad_clip", True), ("lam", math.inf),
     ("N", 2.0), ("batch_size", 8.5), ("iterations", 1.5), ("seed", 1.5), ("eval_every", True),
     ("lr_boundaries", (1.5,)), ("lr_boundaries", 2), ("lr_values", (math.inf, 0.1)), ("lr_values", 0.1),
+    ("output_dir", None), ("output_dir", ""), ("problem", 5), ("xi0", 0.5),
 ], ids=["clip-inf", "clip-nan", "clip-bool", "lam-inf", "N-float", "batch-fraction",
         "iterations-fraction", "seed-fraction", "eval-every-bool", "boundary-fraction",
-        "boundaries-bare", "rate-inf", "rates-bare"])
+        "boundaries-bare", "rate-inf", "rates-bare", "output-dir-none", "output-dir-empty",
+        "problem-int", "xi0-bare"])
 def test_runconfig_rejects_what_the_parser_rejects_in_text(field, value):
     # in Python these once trained, failed with TypeError, rounded a
     # boundary down or wrote Infinity and NaN into the JSON records
     fields = dict(problem="heat", d=2, N=4, batch_size=8, iterations=1, seed=0,
                   lr_values=(0.1, 0.01), lr_boundaries=(2,))
     fields[field] = value
-    with pytest.raises(ConfigError, match=f"'{field}' must be (an integer|a finite number|a list)"):
+    with pytest.raises(ConfigError, match=f"'{field}' must be "
+                       "(an integer|a finite number|a list|a non-empty string)"):
         RunConfig(**fields)
 
 
@@ -360,3 +373,19 @@ def test_runconfig_stores_python_numbers():
     assert type(cfg.d) is int and type(cfg.N) is int and type(cfg.T) is float
     assert type(cfg.grad_clip) is float
     assert type(cfg.lr_boundaries[0]) is int and all(type(r) is float for r in cfg.lr_values)
+
+
+def test_readme_names_exactly_the_accepted_keys():
+    # README's "Config keys" table has a row per key, and an alias is named
+    # in the row of the field it sets (`batch` in `batch_size`'s)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Config keys", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in table.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        key = re.fullmatch(r"`(\w+)`", cells[0])
+        if line.startswith("|") and key:
+            rows[key.group(1)] = line
+    named = set(rows) | {alias for alias, field in _KEYS.items()
+                         if field in rows and f"`{alias}`" in rows[field]}
+    assert named == set(_KEYS)

@@ -277,6 +277,23 @@ def test_grid_validation():
         TimeGrid(np.array([0.1, 0.5, 1.0]))
 
 
+@pytest.mark.parametrize("horizon, num_steps, message", [
+    (1.0, 2.5, "num_steps must be an integer"),
+    (1.0, True, "num_steps must be an integer"),
+    (1.0, np.int64(0), "num_steps must be an integer >= 1"),
+    (float("nan"), 4, "horizon must be a finite number > 0"),
+    (float("inf"), 4, "horizon must be a finite number > 0"),
+    (0.0, 4, "horizon must be a finite number > 0"),
+    ("1.0", 4, "horizon must be a finite number > 0"),
+], ids=["fractional-steps", "bool-steps", "zero-numpy-steps", "nan-horizon", "inf-horizon",
+        "zero-horizon", "string-horizon"])
+def test_uniform_grid_checks_its_arguments(horizon, num_steps, message):
+    # (1.0, 2.5) once built a 3-step grid with steps 0.4, 0.4 and 0.2, and a
+    # NaN horizon failed as "time grid must start at 0"
+    with pytest.raises(ConfigError, match=message):
+        make_uniform_grid(horizon, num_steps)
+
+
 def test_grid_times_read_only():
     grid = make_uniform_grid(1.0, 4)
     with pytest.raises(ValueError):

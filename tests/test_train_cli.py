@@ -566,6 +566,19 @@ def test_cli_config_key_without_effect_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_empty_out_exits_2_and_keeps_the_working_directory(tmp_path, capsys, monkeypatch):
+    # an empty output directory once resolved to the working directory,
+    # whose artifacts the run then deleted and overwrote
+    cfg_path = _write_config(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "params.json").write_text("kept\n", encoding="utf-8")
+    code = main(["train", "--config", str(cfg_path), "--out", ""])
+    assert code == 2
+    assert "'output_dir' must be a non-empty string" in capsys.readouterr().err
+    assert (tmp_path / "params.json").read_text(encoding="utf-8") == "kept\n"
+    assert not (tmp_path / "metrics.csv").exists()
+
+
 def test_cli_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "latin1.cfg"
     cfg_path.write_bytes(TINY.encode("utf-8") + b"# caf\xe9\n")
