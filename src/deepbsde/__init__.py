@@ -34,7 +34,7 @@ from .problems import (
     get_problem,
     pde_residual,
 )
-from .sde import RngStream, TimeGrid, make_uniform_grid, simulate_paths
+from .sde import RngStream, make_uniform_grid, simulate_paths
 from .train import (
     METRICS_HEADER,
     MetricsRecord,
@@ -62,7 +62,6 @@ __all__ = [
     "ShapeError",
     "SubnetBank",
     "Tape",
-    "TimeGrid",
     "ValueRollout",
     "XiSampler",
     "adam_step",

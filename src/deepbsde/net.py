@@ -70,7 +70,11 @@ def mlp_backward(layers, activation, saved, grad_out):
         grads.append((h.T @ g, g.sum(axis=0)))
         if k == 0:
             break
-        g = g @ layers[k][0].T
+        # a contiguous copy of the weight's transpose: with the transposed
+        # view as the right operand, this product's bits differ between one
+        # and two OpenBLAS threads (SkylakeX kernels), and every trained
+        # byte after it follows; with the copy they agree
+        g = g @ np.ascontiguousarray(layers[k][0].T)
         if activation == "tanh":
             g = g * (1.0 - h * h)
         elif activation == "relu":

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf as gttrf, dgttrs as gttrs
 
 from .errors import ConfigError, NumericError
-from .problems import as_vector, check_horizon
+from .problems import as_number, as_vector, check_horizon
 # simulate_paths is no longer called here, but benchmarks/tracing.py wraps
 # it under this module's name, where it now sees no calls
 from .sde import PASS_SIZE, simulate_paths  # noqa: F401
@@ -80,6 +80,8 @@ def cole_hopf_mc(lam, g, x0, horizon, n_samples, stream):
     overflow safety, and the standard error comes from the delta method on
     the exponential average.
     """
+    lam = as_number(lam, "lambda")
+    horizon = as_number(horizon, "horizon")
     if lam <= 0.0:
         raise ConfigError(f"lambda must be positive, got {lam}")
     if horizon <= 0.0:

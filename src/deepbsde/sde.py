@@ -1,8 +1,10 @@
 """Seedable counter-based randomness and forward path simulation.
 
-The forward process is X = xi + s W on the time grid: X_{n+1} = X_n + s dW_n
-with no drift and one constant s per problem (sigma = s I), accumulated in
-place in the path array.
+The forward process is X = xi + s W on the uniform time grid that
+make_uniform_grid builds: X_{n+1} = X_n + s dW_n with no drift and one
+constant s per problem (sigma = s I), accumulated in place in the path
+array. `_simulate_block` simulates samples [lo, hi) of a batch into arrays
+of its own; a batch from simulate_paths is the block [0, batch).
 
 The generator is splitmix64: output k (1-based) of a stream with seed state
 s is mix64(s + k * GOLDEN). Because every draw is a pure function of
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -248,20 +250,9 @@ def block_normals(stream, stage, lo, hi, n):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing times t_0 = 0 < ... < t_N."""
+    """Read-only times t_0 = 0 < ... < t_N; make_uniform_grid builds it."""
 
     times: np.ndarray
-
-    def __post_init__(self):
-        times = np.array(self.times, dtype=np.float64)
-        if times.ndim != 1 or times.size < 2:
-            raise ConfigError("time grid needs at least two points")
-        if times[0] != 0.0:
-            raise ConfigError(f"time grid must start at 0, got {times[0]}")
-        if not np.all(np.diff(times) > 0.0):
-            raise ConfigError("time grid must be strictly increasing")
-        times.flags.writeable = False
-        object.__setattr__(self, "times", times)
 
     @property
     def num_steps(self):
@@ -284,12 +275,14 @@ def make_uniform_grid(horizon, num_steps):
         raise ConfigError(f"num_steps must be an integer >= 1, got {num_steps!r}")
     times = np.arange(num_steps + 1, dtype=np.float64) * (horizon / num_steps)
     times[-1] = horizon
+    times.flags.writeable = False
     return TimeGrid(times)
 
 
-def _simulate_chunk(problem, grid, stream, lo, hi, states, increments):
-    """Fill rows [lo, hi) of states and of the C-contiguous increments:
-    every step's increments drawn at once, then X_{n+1} = X_n + s dW_n.
+def _simulate_block(problem, grid, stream, lo, hi):
+    """Samples [lo, hi) of a batch as fresh C-contiguous (states,
+    increments), hi - lo rows each: every step's increments drawn at once,
+    then X_{n+1} = X_n + s dW_n.
 
     Sample i's step-n increments come from the sub-stream (n+1, i). The
     draw goes straight into increments, for blocks of samples whose seed
@@ -298,25 +291,26 @@ def _simulate_chunk(problem, grid, stream, lo, hi, states, increments):
     the states and summed along time in place, so no full-size temporary
     is made.
     """
-    if not increments.flags.c_contiguous:
-        raise ShapeError("increments must be C-contiguous: the draw writes into it in place")
-    states[lo:hi, 0, :] = problem.xi.sample_block(stream, lo, hi)
-    steps = range(1, grid.num_steps + 1)
-    block = max(1, PASS_SIZE // grid.num_steps)
+    n_steps = grid.num_steps
+    d = problem.d
+    states = np.empty((hi - lo, n_steps + 1, d), dtype=np.float64)
+    increments = np.empty((hi - lo, n_steps, d), dtype=np.float64)
+    states[:, 0, :] = problem.xi.sample_block(stream, lo, hi)
+    steps = range(1, n_steps + 1)
+    block = max(1, PASS_SIZE // n_steps)
     for a in range(lo, hi, block):
         b = min(a + block, hi)
         seeds = _derived_states(stream, steps, a, b)
-        _draw(seeds.reshape(-1), 0, increments[a:b].reshape(-1, problem.d), True)
-    dw = increments[lo:hi]
-    dw *= np.sqrt(np.diff(grid.times))[:, None]
-    x = states[lo:hi]
-    np.multiply(dw, problem.sigma, out=x[:, 1:])
-    np.cumsum(x, axis=1, out=x)
+        _draw(seeds.reshape(-1), 0, increments[a - lo:b - lo].reshape(-1, d), True)
+    increments *= np.sqrt(np.diff(grid.times))[:, None]
+    np.multiply(increments, problem.sigma, out=states[:, 1:])
+    np.cumsum(states, axis=1, out=states)
     # a non-finite state stays non-finite in every later sum (s dW is never
     # NaN), so the terminal states show every bad sample
-    bad = np.flatnonzero(~np.isfinite(x[:, -1]).all(axis=1))
+    bad = np.flatnonzero(~np.isfinite(states[:, -1]).all(axis=1))
     if bad.size:
         raise NumericError(f"non-finite state in sample {lo + int(bad[0])}")
+    return states, increments
 
 
 def simulate_paths(problem, grid, batch, stream):
@@ -326,15 +320,10 @@ def simulate_paths(problem, grid, batch, stream):
     s increments[:, n, :]; increment n has variance dt_n per axis.
 
     Sample i draws its initial point from the sub-stream (0, i) and its
-    step-n increments from (n+1, i), so any [lo, hi) slice of the batch
-    simulated on its own (`_simulate_chunk`) is bitwise identical to the
+    step-n increments from (n+1, i), so any [lo, hi) block of the batch
+    simulated on its own (`_simulate_block`) is bitwise identical to the
     same rows of the full batch.
     """
     if batch < 1:
         raise ConfigError(f"batch must be at least 1, got {batch}")
-    n_steps = grid.num_steps
-    d = problem.d
-    states = np.empty((batch, n_steps + 1, d), dtype=np.float64)
-    increments = np.empty((batch, n_steps, d), dtype=np.float64)
-    _simulate_chunk(problem, grid, stream, 0, batch, states, increments)
-    return states, increments
+    return _simulate_block(problem, grid, stream, 0, batch)

@@ -17,7 +17,7 @@ from deepbsde.config import parse_config_text
 from deepbsde.net import SubnetBank
 from deepbsde.oracle import cole_hopf_mc, fd_semilinear_1d
 from deepbsde.problems import get_problem, pde_residual
-from deepbsde.sde import RngStream, _simulate_chunk, make_uniform_grid, simulate_paths
+from deepbsde.sde import RngStream, _simulate_block, make_uniform_grid, simulate_paths
 from deepbsde.train import run_train
 
 
@@ -290,11 +290,9 @@ def test_criterion_7_determinism(tmp_path):
     full_paths, full_incs = simulate_paths(problem, grid, 4001, RngStream(5))
     same_paths = True
     for lo, hi in ((0, 1001), (1001, 2002), (2002, 3003), (3003, 4001)):
-        states = np.full(full_paths.shape, np.nan)
-        incs = np.full(full_incs.shape, np.nan)
-        _simulate_chunk(problem, grid, RngStream(5), lo, hi, states, incs)
-        same_paths = (same_paths and np.array_equal(states[lo:hi], full_paths[lo:hi])
-                      and np.array_equal(incs[lo:hi], full_incs[lo:hi]))
+        states, incs = _simulate_block(problem, grid, RngStream(5), lo, hi)
+        same_paths = (same_paths and np.array_equal(states, full_paths[lo:hi])
+                      and np.array_equal(incs, full_incs[lo:hi]))
 
     ok = same_metrics and same_params and same_paths
     line = _verdict(7, ok, f"metrics_identical={same_metrics} "

@@ -144,6 +144,19 @@ def test_cole_hopf_validation():
         cole_hopf_mc(1.0, g, np.zeros(1), -1.0, 1000, RngStream(0))
 
 
+@pytest.mark.parametrize("lam, horizon, key", [
+    (float("nan"), 1.0, "lambda"),
+    (float("inf"), 1.0, "lambda"),
+    (1.0, float("nan"), "horizon"),
+    (1.0, float("inf"), "horizon"),
+], ids=["nan-lambda", "inf-lambda", "nan-horizon", "inf-horizon"])
+def test_cole_hopf_rejects_non_finite_settings(lam, horizon, key):
+    # these once passed the <= 0 checks and ended in a NumericError on the
+    # terminal values, the exit-3 class, not as a bad setting
+    with pytest.raises(ConfigError, match=f"'{key}' must be a finite number"):
+        cole_hopf_mc(lam, lambda x: x[:, 0], np.zeros(1), horizon, 1000, RngStream(0))
+
+
 def test_monte_carlo_values_pinned():
     # normal-derived, so pinned like the normal digests in test_sde.py
     hjb = get_problem("hjb", 100)

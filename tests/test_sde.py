@@ -10,10 +10,9 @@ from deepbsde.problems import ProblemSpec, XiSampler, get_problem
 from deepbsde.sde import (
     PASS_SIZE,
     RngStream,
-    TimeGrid,
     _as_float64,
     _draw,
-    _simulate_chunk,
+    _simulate_block,
     block_normals,
     block_uniforms,
     box_muller_pair,
@@ -271,10 +270,6 @@ def test_grid_validation():
         make_uniform_grid(-1.0, 4)
     with pytest.raises(ConfigError):
         make_uniform_grid(1.0, 0)
-    with pytest.raises(ConfigError):
-        TimeGrid(np.array([0.0, 0.5, 0.5, 1.0]))
-    with pytest.raises(ConfigError):
-        TimeGrid(np.array([0.1, 0.5, 1.0]))
 
 
 @pytest.mark.parametrize("horizon, num_steps, message", [
@@ -374,6 +369,10 @@ def test_overflowing_paths_name_the_first_bad_sample():
     assert first > 0
     with pytest.raises(NumericError, match=f"non-finite state in sample {first}$"):
         simulate_paths(_free_problem(2, 1e308), grid, 64, RngStream(3))
+    # a block that starts past 0 names the sample by its index in the batch
+    later = int(np.flatnonzero(~np.isfinite(sums[first + 1:]).all(axis=(1, 2)))[0]) + first + 1
+    with pytest.raises(NumericError, match=f"non-finite state in sample {later}$"):
+        _simulate_block(_free_problem(2, 1e308), grid, RngStream(3), first + 1, 64)
 
 
 def test_seed_determinism():
@@ -396,23 +395,12 @@ def test_parallel_simulation_matches_serial():
     grid = make_uniform_grid(1.0, 7)
     full_paths, full_incs = simulate_paths(p, grid, 101, RngStream(5))
     for lo, hi in ((0, 26), (26, 27), (27, 101)):
-        states = np.full(full_paths.shape, np.nan)
-        incs = np.full(full_incs.shape, np.nan)
-        _simulate_chunk(p, grid, RngStream(5), lo, hi, states, incs)
-        assert np.array_equal(states[lo:hi], full_paths[lo:hi])
-        assert np.array_equal(incs[lo:hi], full_incs[lo:hi])
+        states, incs = _simulate_block(p, grid, RngStream(5), lo, hi)
+        assert np.array_equal(states, full_paths[lo:hi])
+        assert np.array_equal(incs, full_incs[lo:hi])
 
 
 def test_simulation_rejects_empty_batch():
     p = _free_problem(1, 1.0)
     with pytest.raises((ConfigError, ShapeError)):
         simulate_paths(p, make_uniform_grid(1.0, 2), 0, RngStream(1))
-
-
-def test_simulation_chunk_needs_contiguous_increments():
-    p = _free_problem(2, 1.0)
-    grid = make_uniform_grid(1.0, 3)
-    states = np.empty((4, 4, 2))
-    incs = np.empty((4, 2, 3)).transpose(0, 2, 1)
-    with pytest.raises(ShapeError):
-        _simulate_chunk(p, grid, RngStream(1), 0, 4, states, incs)

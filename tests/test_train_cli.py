@@ -1,5 +1,6 @@
 """Training loop artifacts, parameter archives, and the command-line surface."""
 
+import ast
 import base64
 import dataclasses
 import hashlib
@@ -34,6 +35,10 @@ from deepbsde.train import (
 )
 
 from conftest import machine
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+
+from workloads import WORKLOADS  # noqa: E402
 
 TINY = """
 problem = heat
@@ -407,20 +412,56 @@ ARTIFACT_PINS = {
 }
 
 
-@pytest.mark.parametrize("text", list(ARTIFACT_PINS), ids=["sgd_clip", "adam_schedule", "hjb"])
-def test_training_artifacts_keep_their_bytes(tmp_path, text):
+# the same digests of the two benchmark workloads, whose config text is read
+# from benchmarks/workloads.py: the paper's d = 100 HJB and the d = 1
+# Allen-Cahn case; each trains in a few seconds
+WORKLOAD_PINS = {
+    "hjb_d100": ("73005fcfa589", "fb797b4e4584", "7b1a7b03a69c", "37906e59a43a"),
+    "allen_cahn_d1": ("27527c1833b7", "b229d773fd6d", "ec6b183e315b", "72494fb6285a"),
+}
+
+
+def _artifact_digests(text, out_dir):
+    """The pinned digests of a run of config text under a 0.25 s clock."""
     state = {"t": 0.0}
 
     def clock():
         state["t"] += 0.25
         return state["t"]
 
-    run_train(_config(text, output_dir=str(tmp_path)), clock=clock)
-    digests = tuple(
-        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:12]
+    run_train(_config(text, output_dir=str(out_dir)), clock=clock)
+    return tuple(
+        hashlib.sha256((out_dir / name).read_bytes()).hexdigest()[:12]
         for name in ("metrics.csv", "loss_curve.csv", "params.json", "run_summary.json")
     )
-    assert digests == ARTIFACT_PINS[text], machine()
+
+
+@pytest.mark.parametrize("text", list(ARTIFACT_PINS), ids=["sgd_clip", "adam_schedule", "hjb"])
+def test_training_artifacts_keep_their_bytes(tmp_path, text):
+    assert _artifact_digests(text, tmp_path) == ARTIFACT_PINS[text], machine()
+
+
+@pytest.mark.parametrize("name", list(WORKLOAD_PINS))
+def test_benchmark_workloads_keep_their_bytes(tmp_path, name):
+    digests = _artifact_digests(WORKLOADS[name].config_text, tmp_path)
+    assert digests == WORKLOAD_PINS[name], machine()
+
+
+def test_workload_bytes_do_not_depend_on_the_thread_count(tmp_path):
+    # the same runs in a child process with two OpenBLAS threads; the thread
+    # count is read once, when numpy loads, so it needs a fresh process
+    tests = Path(__file__).resolve().parent
+    package_root = str(Path(deepbsde.__file__).resolve().parent.parent)
+    code = ("import pathlib, sys; sys.path[:0] = sys.argv[1:3]; import test_train_cli as t\n"
+            "for name in t.WORKLOAD_PINS:\n"
+            "    out = pathlib.Path(sys.argv[3], name)\n"
+            "    print(*t._artifact_digests(t.WORKLOADS[name].config_text, out))")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    proc = subprocess.run([sys.executable, "-c", code, package_root, str(tests), str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    digests = [tuple(line.split()) for line in proc.stdout.splitlines()]
+    assert digests == list(WORKLOAD_PINS.values()), machine()
 
 
 @pytest.mark.parametrize("text", [TINY, TINY + "xi_mode = box\n", TINY.replace("heat", "hjb")],
@@ -896,3 +937,9 @@ def test_every_exported_name_exists_once():
     namespace = {}
     exec("from deepbsde import *", namespace)
     assert set(names) <= set(namespace)
+    # and a public name __init__.py imports but __all__ leaves out is
+    # missing from `import *`, though `deepbsde.<name>` still works
+    tree = ast.parse(Path(deepbsde.__file__).read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert sorted(name for name in imported - set(names) if not name.startswith("_")) == []
