@@ -15,6 +15,9 @@ from .errors import ConfigError, ShapeError
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+# entries per pass of adam_step: a chunk's six float64 operands (params,
+# grads, m, v and two scratch buffers) take 768 KB, so they stay in L2
+CHUNK = 1 << 14
 
 
 def _check_pair(params, grads):
@@ -56,25 +59,33 @@ def adam_step(state, params, grads, lr):
     if state.m.shape != params.shape:
         raise ShapeError(f"state sized {state.m.shape} does not match params {params.shape}")
     t = state.step_count + 1
+    m_scale = 1.0 - BETA1 ** t
+    v_scale = 1.0 - BETA2 ** t
     # every operation keeps the operand order of the textbook form,
     # ((1 - BETA2) g) g included, so the results are bitwise those of
-    # params - lr m_hat / (sqrt(v_hat) + EPS)
-    tmp = np.empty_like(params)
-    step = np.empty_like(params)
-    state.m *= BETA1
-    np.multiply(grads, 1.0 - BETA1, out=tmp)
-    state.m += tmp
-    state.v *= BETA2
-    np.multiply(grads, 1.0 - BETA2, out=tmp)
-    tmp *= grads
-    state.v += tmp
-    np.divide(state.v, 1.0 - BETA2 ** t, out=tmp)
-    np.sqrt(tmp, out=tmp)
-    tmp += EPS
-    np.divide(state.m, 1.0 - BETA1 ** t, out=step)
-    step *= lr
-    step /= tmp
-    params -= step
+    # params - lr m_hat / (sqrt(v_hat) + EPS); a chunk's passes run while
+    # its slices of params, grads, m and v are still in cache
+    size = params.size
+    tmp_buf = np.empty(min(size, CHUNK))
+    step_buf = np.empty(min(size, CHUNK))
+    for lo in range(0, size, CHUNK):
+        hi = min(lo + CHUNK, size)
+        p, g, m, v = params[lo:hi], grads[lo:hi], state.m[lo:hi], state.v[lo:hi]
+        tmp, step = tmp_buf[:hi - lo], step_buf[:hi - lo]
+        m *= BETA1
+        np.multiply(g, 1.0 - BETA1, out=tmp)
+        m += tmp
+        v *= BETA2
+        np.multiply(g, 1.0 - BETA2, out=tmp)
+        tmp *= g
+        v += tmp
+        np.divide(v, v_scale, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += EPS
+        np.divide(m, m_scale, out=step)
+        step *= lr
+        step /= tmp
+        p -= step
     state.step_count = t
 
 

@@ -4,13 +4,16 @@ None of these touch networks, tapes, or the rollout code: the Monte Carlo
 routes draw only the exact terminal points x0 + s W_T, and the 1-D route is
 a finite-difference march. Agreement between a trained value and an oracle
 is therefore evidence, not circularity.
+
+scipy is imported on the finite-difference route's first call, for LAPACK's
+tridiagonal factor and solve, so training, eval and the Monte Carlo routes
+never load it.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf as gttrf, dgttrs as gttrs
 
 from .errors import ConfigError, NumericError
 from .problems import as_number, as_vector, check_horizon
@@ -170,6 +173,9 @@ def _stable_steps(problem, xs):
 
 def _march(problem, xs, time_steps):
     """u(0, xs) after time_steps Crank-Nicolson steps back from g(xs)."""
+    # imported here so that only a finite-difference run loads scipy's LAPACK
+    from scipy.linalg.lapack import dgttrf as gttrf, dgttrs as gttrs
+
     m = xs.size - 1
     T = problem.T
     dx = xs[1] - xs[0]

@@ -5,6 +5,7 @@ from deepbsde.errors import ConfigError, ShapeError
 from deepbsde.optim import (
     BETA1,
     BETA2,
+    CHUNK,
     EPS,
     AdamState,
     adam_step,
@@ -130,6 +131,28 @@ def test_adam_matches_textbook_form_bitwise():
     want = params.copy()
     for t in range(1, 6):
         g = rng.standard_normal(1000) * 10.0 ** rng.integers(-6, 3, size=1000)
+        lr = 0.01 / t
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * g * g
+        m_hat = m / (1.0 - 0.9 ** t)
+        v_hat = v / (1.0 - 0.999 ** t)
+        want = want - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        adam_step(state, params, g, lr)
+        assert np.array_equal(params, want)
+        assert np.array_equal(state.m, m)
+        assert np.array_equal(state.v, v)
+
+
+def test_adam_chunks_match_textbook_form_bitwise():
+    # two full chunks and a short tail: every boundary of adam_step's passes
+    n = 2 * CHUNK + 17
+    rng = np.random.default_rng(27)
+    state = AdamState.create(n)
+    params = rng.standard_normal(n)
+    m, v = np.zeros(n), np.zeros(n)
+    want = params.copy()
+    for t in range(1, 6):
+        g = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 3, size=n)
         lr = 0.01 / t
         m = 0.9 * m + (1.0 - 0.9) * g
         v = 0.999 * v + (1.0 - 0.999) * g * g

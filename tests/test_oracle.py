@@ -1,8 +1,12 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import deepbsde
 from deepbsde.errors import ConfigError, NumericError
 from deepbsde.oracle import cole_hopf_mc, fd_semilinear_1d, mc_feynman_kac
 from deepbsde.problems import ProblemSpec, XiSampler, get_problem
@@ -299,3 +303,30 @@ def test_oracle_estimates_carry_metadata():
     est2 = fd_semilinear_1d(get_problem("allen_cahn", 1), x0=0.0, nodes=50, time_steps=100)
     assert est2.info["time_steps"] == 100
     assert est2.stderr == 0.0
+
+
+def test_only_the_finite_difference_route_loads_scipy_linalg(tmp_path):
+    # this session has scipy loaded already, so a fresh child process
+    # watches what the package, an MC oracle, training and the FD march load
+    package_root = str(Path(deepbsde.__file__).resolve().parent.parent)
+    config = "\n".join(["problem = heat", "d = 2", "N = 4", "batch = 8", "iterations = 2",
+                        "seed = 1", "eval_samples = 64", f"output_dir = {tmp_path}", ""])
+    code = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import deepbsde
+print("scipy.linalg" in sys.modules)
+hjb = deepbsde.get_problem("hjb", 2)
+deepbsde.cole_hopf_mc(1.0, hjb.g, np.zeros(2), hjb.T, 1000, deepbsde.RngStream(1))
+deepbsde.run_train(deepbsde.parse_config_text(sys.argv[2]))
+print("scipy.linalg" in sys.modules)
+deepbsde.fd_semilinear_1d(deepbsde.get_problem("allen_cahn", 1), np.zeros(1), nodes=16)
+print("scipy.linalg" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", code, package_root, config],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    # after import, after an MC oracle and training, after the FD march
+    assert proc.stdout.split() == ["False", "False", "True"]
+    assert (tmp_path / "params.json").exists()
