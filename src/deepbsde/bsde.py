@@ -43,6 +43,7 @@ import numpy as np
 from .errors import ConfigError, NumericError, ShapeError
 from .net import mlp_backward, mlp_eval
 from .problems import check_horizon
+from .sde import as_count
 
 # Samples per block of the tape-free rollouts. A block's outputs are bitwise
 # those of one whole-batch pass where OpenBLAS computes each row of each
@@ -332,8 +333,7 @@ def estimate_u0(bank, problem, n_eval, stream):
 
     From a point start the head is a scalar, so the spread is exactly 0.
     """
-    if n_eval < 1:
-        raise ConfigError(f"n_eval must be at least 1, got {n_eval}")
+    n_eval = as_count(n_eval, "n_eval")
     if bank.xi_mode == "point":
         return float(bank.y0), 0.0
     x = problem.xi.sample_block(stream, 0, n_eval)

@@ -4,7 +4,10 @@ The forward process is X = xi + s W on the uniform time grid that
 make_uniform_grid builds: X_{n+1} = X_n + s dW_n with no drift and one
 constant s per problem (sigma = s I), accumulated in place in the path
 array. `_simulate_block` simulates samples [lo, hi) of a batch into arrays
-of its own; a batch from simulate_paths is the block [0, batch).
+of its own; a batch from simulate_paths is the block [0, batch). The arrays
+are stored step-major, [N+1, batch, d] and [N, batch, d], and handed out as
+their [batch, N+1, d] and [batch, N, d] transposed views, so the rollouts'
+per-step slabs states[:, n, :] and increments[:, n, :] are contiguous.
 
 The generator is splitmix64: output k (1-based) of a stream with seed state
 s is mix64(s + k * GOLDEN). Because every draw is a pure function of
@@ -29,7 +32,9 @@ part only at the SSE baseline.
 One kernel, `_draw`, makes every uniform and normal in the package. It works
 in passes of PASS_SIZE values over a few buffers allocated once per call, so
 the mixing, the float conversion and Box-Muller run in place on cache-sized
-blocks instead of streaming full-length temporaries through memory.
+blocks instead of streaming full-length temporaries through memory. With an
+odd count per row, the last pair's partner is never made, and a pass only a
+few columns wide forms its keys one column at a time.
 """
 
 import math
@@ -51,6 +56,8 @@ _TWO_PI = 2.0 * np.pi
 
 # values per pass of the draw kernel; its buffers then take about 1 MB
 PASS_SIZE = 1 << 15
+# a pass fewer columns wide than this forms its keys one column at a time
+_NARROW = 8
 
 
 def _mix64(z):
@@ -89,6 +96,14 @@ def _as_float64(z, tmp, out):
     low = tmp.view(np.float64)
     np.copyto(low, z.view(np.int64), casting="unsafe")
     out += low
+
+
+def as_count(value, name, least=1):
+    """int(value) for an integer (not a bool) >= least; anything else is a
+    ConfigError naming the argument."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def box_muller_pair(u1, u2):
@@ -134,15 +149,23 @@ def _draw(states, first, out, normal):
         ang, trig = (np.empty(per * cols // 2, dtype=np.float32) for _ in range(2))
     for c0 in range(0, width, cols):
         cw = min(cols, width - c0)
-        # GOLDEN times the pass's first counter, formed as a masked python int
-        offset = np.uint64((_GOLDEN * (first + c0 + 1)) & _MASK)
+        # GOLDEN times a column's counter, formed as a masked python int: for
+        # the pass's first column, or for each column of a narrow pass, which
+        # is keyed one column at a time, since a broadcast add over rows only
+        # a few columns wide runs its inner loop a few values at a time
+        keys = [np.uint64((_GOLDEN * (first + c0 + j + 1)) & _MASK)
+                for j in range(cw if cw < _NARROW else 1)]
         for r0 in range(0, rows, per):
             r1 = min(r0 + per, rows)
             m = r1 - r0
             zb = z[:m * cw].reshape(m, cw)
             sb = tmp[:zb.size].reshape(m, cw)
-            np.add(states[r0:r1], offset, out=row_keys[:m])
-            np.add(row_keys[:m, None], steps[None, :cw], out=zb)
+            if cw < _NARROW:
+                for j, key in enumerate(keys):
+                    np.add(states[r0:r1], key, out=zb[:, j])
+            else:
+                np.add(states[r0:r1], keys[0], out=row_keys[:m])
+                np.add(row_keys[:m, None], steps[None, :cw], out=zb)
             _mix64_inplace(zb, sb)
             ub = out[r0:r1, c0:c0 + cw] if not normal else u[:zb.size].reshape(m, cw)
             _as_float64(zb, sb, ub)
@@ -157,18 +180,16 @@ def _draw(states, first, out, normal):
             np.sqrt(rb, out=rb)
             np.multiply(ub[:, 1::2], _TWO_PI, out=wb)
             np.copyto(ab, wb, casting="same_kind")
-            # with n odd, the last pass's pairs go to the pass buffer first,
-            # and all but the unused partner of the last one are copied out
-            whole = c0 + cw <= n
-            dst = out[r0:r1, c0:c0 + cw] if whole else ub
+            dst = out[r0:r1, c0:min(c0 + cw, n)]
             np.cos(ab, out=tb)
             np.copyto(wb, tb)
             np.multiply(rb, wb, out=dst[:, 0::2])
-            np.sin(ab, out=tb)
-            np.copyto(wb, tb)
-            np.multiply(rb, wb, out=dst[:, 1::2])
-            if not whole:
-                out[r0:r1, c0:n] = ub[:, :n - c0]
+            # with n odd, the last pair's partner is never made: only the
+            # pairs whose sine lands in out take one
+            p = dst.shape[1] // 2
+            np.sin(ab[:, :p], out=tb[:, :p])
+            np.copyto(wb[:, :p], tb[:, :p])
+            np.multiply(rb[:, :p], wb[:, :p], out=dst[:, 1::2])
 
 
 class RngStream:
@@ -198,7 +219,7 @@ class RngStream:
 
     def uniforms(self, n):
         """n uniforms in (0, 1]; advances the counter by n."""
-        n = int(n)
+        n = as_count(n, "n", 0)
         out = np.empty(n, dtype=np.float64)
         _draw(np.array([self.seed_state], dtype=np.uint64), self.counter, out[None, :], False)
         self.counter += n
@@ -207,7 +228,7 @@ class RngStream:
     def normals(self, n):
         """n standard normals; pairs are consumed in order with a carry slot,
         so scalar and block draws read the same sequence."""
-        n = int(n)
+        n = as_count(n, "n", 0)
         have = 1 if self._cached_normal is not None and n > 0 else 0
         pairs = (n - have + 1) // 2
         # room for the partner of an odd last draw, which goes to the carry slot
@@ -225,11 +246,12 @@ class RngStream:
 
 
 def _derived_states(stream, stages, lo, hi):
-    """[hi-lo, len(stages)] seed states; entry [i, k] is that of
+    """[len(stages), hi-lo] seed states; entry [k, i] is that of
     stream.derive(stages[k], lo+i)."""
     h1 = [_mix64((stream.seed_state + _GOLDEN * (int(s) + 1)) & _MASK) for s in stages]
-    z = np.arange(lo + 1, hi + 1, dtype=np.uint64)[:, None] * np.uint64(_GOLDEN)
-    z = z + np.array(h1, dtype=np.uint64)
+    k = np.arange(lo + 1, hi + 1, dtype=np.uint64)
+    k *= np.uint64(_GOLDEN)
+    z = np.array(h1, dtype=np.uint64)[:, None] + k
     _mix64_inplace(z, np.empty_like(z))
     return z
 
@@ -271,8 +293,7 @@ def make_uniform_grid(horizon, num_steps):
     real = isinstance(horizon, numbers.Real) and not isinstance(horizon, bool)
     if not real or not math.isfinite(horizon) or horizon <= 0.0:
         raise ConfigError(f"horizon must be a finite number > 0, got {horizon!r}")
-    if isinstance(num_steps, bool) or not isinstance(num_steps, numbers.Integral) or num_steps < 1:
-        raise ConfigError(f"num_steps must be an integer >= 1, got {num_steps!r}")
+    num_steps = as_count(num_steps, "num_steps")
     times = np.arange(num_steps + 1, dtype=np.float64) * (horizon / num_steps)
     times[-1] = horizon
     times.flags.writeable = False
@@ -280,50 +301,59 @@ def make_uniform_grid(horizon, num_steps):
 
 
 def _simulate_block(problem, grid, stream, lo, hi):
-    """Samples [lo, hi) of a batch as fresh C-contiguous (states,
-    increments), hi - lo rows each: every step's increments drawn at once,
-    then X_{n+1} = X_n + s dW_n.
+    """Samples [lo, hi) of a batch as fresh (states, increments), hi - lo
+    rows each, stored step-major: the arrays are [N+1, m, d] and [N, m, d]
+    in memory and are returned as their [m, N+1, d] and [m, N, d]
+    transposed views, so each step's slab [:, n, :] is contiguous.
 
-    Sample i's step-n increments come from the sub-stream (n+1, i). The
-    draw goes straight into increments, for blocks of samples whose seed
-    states (one per sample and step) fill about one kernel pass, so a
-    large batch never holds a full-size seed array. s dW is written into
-    the states and summed along time in place, so no full-size temporary
-    is made.
+    Sample i's step-n increments come from the sub-stream (n+1, i). They
+    are drawn straight into increments, in pieces of about one kernel pass:
+    whole steps when a step's slab fits in a pass, runs of samples within
+    one step when it does not, so no seed array is as long as the batch.
+    Each piece is scaled by sqrt(dt) and s, written into the states, and
+    summed along time in place, X_{n+1} = X_n + s dW_n, while it is still
+    in cache.
     """
     n_steps = grid.num_steps
     d = problem.d
-    states = np.empty((hi - lo, n_steps + 1, d), dtype=np.float64)
-    increments = np.empty((hi - lo, n_steps, d), dtype=np.float64)
-    states[:, 0, :] = problem.xi.sample_block(stream, lo, hi)
-    steps = range(1, n_steps + 1)
-    block = max(1, PASS_SIZE // n_steps)
-    for a in range(lo, hi, block):
-        b = min(a + block, hi)
-        seeds = _derived_states(stream, steps, a, b)
-        _draw(seeds.reshape(-1), 0, increments[a - lo:b - lo].reshape(-1, d), True)
-    increments *= np.sqrt(np.diff(grid.times))[:, None]
-    np.multiply(increments, problem.sigma, out=states[:, 1:])
-    np.cumsum(states, axis=1, out=states)
+    states = np.empty((n_steps + 1, hi - lo, d), dtype=np.float64)
+    increments = np.empty((n_steps, hi - lo, d), dtype=np.float64)
+    states[0] = problem.xi.sample_block(stream, lo, hi)
+    scale = np.sqrt(np.diff(grid.times))
+    run = max(1, PASS_SIZE // d)  # samples of one step in a pass
+    per = max(1, run // (hi - lo))  # whole steps in a pass
+    for s0 in range(0, n_steps, per):
+        s1 = min(s0 + per, n_steps)
+        for a in range(lo, hi, run):
+            b = min(a + run, hi)
+            # one step's run of samples, or whole steps of the block: either
+            # is contiguous, so the draw's reshape is a view
+            inc = increments[s0:s1, a - lo:b - lo]
+            seeds = _derived_states(stream, range(s0 + 1, s1 + 1), a, b)
+            _draw(seeds.reshape(-1), 0, inc.reshape(-1, d), True)
+            inc *= scale[s0:s1, None, None]
+            x = states[s0:s1 + 1, a - lo:b - lo]
+            np.multiply(inc, problem.sigma, out=x[1:])
+            for n in range(s1 - s0):
+                x[n + 1] += x[n]
     # a non-finite state stays non-finite in every later sum (s dW is never
     # NaN), so the terminal states show every bad sample
-    bad = np.flatnonzero(~np.isfinite(states[:, -1]).all(axis=1))
+    bad = np.flatnonzero(~np.isfinite(states[-1]).all(axis=1))
     if bad.size:
         raise NumericError(f"non-finite state in sample {lo + int(bad[0])}")
-    return states, increments
+    return states.transpose(1, 0, 2), increments.transpose(1, 0, 2)
 
 
 def simulate_paths(problem, grid, batch, stream):
-    """Simulate forward paths; returns (states, increments), C-contiguous
-    float64 arrays shaped [batch, N+1, d] and [batch, N, d]. states[:, 0, :]
-    is the initial draw and states[:, n+1, :] = states[:, n, :] +
-    s increments[:, n, :]; increment n has variance dt_n per axis.
+    """Simulate forward paths; returns (states, increments), float64 arrays
+    shaped [batch, N+1, d] and [batch, N, d]. states[:, 0, :] is the initial
+    draw and states[:, n+1, :] = states[:, n, :] + s increments[:, n, :];
+    increment n has variance dt_n per axis. Both are step-major views (see
+    `_simulate_block`): each step's slab [:, n, :] is contiguous.
 
     Sample i draws its initial point from the sub-stream (0, i) and its
     step-n increments from (n+1, i), so any [lo, hi) block of the batch
     simulated on its own (`_simulate_block`) is bitwise identical to the
     same rows of the full batch.
     """
-    if batch < 1:
-        raise ConfigError(f"batch must be at least 1, got {batch}")
-    return _simulate_block(problem, grid, stream, 0, batch)
+    return _simulate_block(problem, grid, stream, 0, as_count(batch, "batch"))

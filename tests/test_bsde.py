@@ -267,8 +267,17 @@ def test_estimate_u0_rejects_fewer_than_one_draw_in_both_modes():
     )
     for bank, p in cases:
         for n_eval in (0, -5):
-            with pytest.raises(ConfigError, match="n_eval must be at least 1"):
+            with pytest.raises(ConfigError, match="n_eval must be an integer >= 1"):
                 estimate_u0(bank, p, n_eval, RngStream(0))
+
+
+@pytest.mark.parametrize("n_eval", [2.5, True])
+def test_estimate_u0_checks_its_count(n_eval):
+    # 2.5 once failed as a TypeError from numpy, and True drew one sample
+    bank = SubnetBank.create("box", "independent", 2, 3, hidden=(4, 4), seed=0)
+    p = get_problem("heat", 2, {"xi_mode": "box"})
+    with pytest.raises(ConfigError, match="n_eval must be an integer >= 1"):
+        estimate_u0(bank, p, n_eval, RngStream(0))
 
 
 def test_estimate_u0_constant_network():

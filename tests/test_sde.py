@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -203,26 +204,41 @@ def test_normals_split_across_a_pass_boundary():
     assert _digest(parts) == "c167cf798e2db0cd"
 
 
+def _scalar_uniforms(stream, n):
+    """n uniforms of a stream from its python-int splitmix64 outputs, mapped
+    into (0, 1] without the kernel."""
+    return np.array([(float(stream.next_u64()) + 1.0) * 2.0 ** -64 for _ in range(n)])
+
+
+def _scalar_normals(stream, n):
+    """n normals of a stream: its scalar uniforms paired through
+    box_muller_pair, without the kernel."""
+    u = _scalar_uniforms(stream, n + (n & 1))
+    z0, z1 = box_muller_pair(u[0::2], u[1::2])
+    return np.stack([z0, z1], axis=-1).reshape(-1)[:n]
+
+
 @pytest.mark.parametrize("first", [0, 5])
 def test_draw_kernel_matches_scalar_reference(first):
-    # reference: the python-int splitmix64 outputs, mapped into (0, 1] and
-    # paired through box_muller_pair; two rows, each wider than one pass
+    # two rows, each wider than one pass
     n = PASS_SIZE + 3
     seeds = [11, 2 ** 64 - 1]
-    want_u = np.empty((2, n + 1))
-    for r, seed in enumerate(seeds):
-        s = RngStream(seed)
-        s.counter = first
-        want_u[r] = [(float(s.next_u64()) + 1.0) * 2.0 ** -64 for _ in range(n + 1)]
-    z0, z1 = box_muller_pair(want_u[:, 0::2], want_u[:, 1::2])
-    want_z = np.stack([z0, z1], axis=-1).reshape(2, n + 1)
+
+    def want(scalar):
+        rows = []
+        for seed in seeds:
+            s = RngStream(seed)
+            s.counter = first
+            rows.append(scalar(s, n))
+        return np.array(rows)
+
     states = np.array(seeds, dtype=np.uint64)
     got_u = np.empty((2, n))
     got_z = np.empty((2, n))
     _draw(states, first, got_u, False)
     _draw(states, first, got_z, True)
-    assert np.array_equal(got_u, want_u[:, :n])
-    assert np.array_equal(got_z, want_z[:, :n])
+    assert np.array_equal(got_u, want(_scalar_uniforms))
+    assert np.array_equal(got_z, want(_scalar_normals))
 
 
 def test_draws_raise_no_numpy_warnings():
@@ -349,10 +365,11 @@ def test_paths_accumulate_scaled_increments_bitwise():
     )
     grid = make_uniform_grid(1.0, 6)
     paths, incs = simulate_paths(p, grid, 32, RngStream(21))
-    # the two arrays themselves, as the rollouts take them
+    # the two arrays themselves, as the rollouts take them: step-major views,
+    # so that every step's slab arr[:, n, :] is contiguous
     for arr, shape in ((paths, (32, 7, 2)), (incs, (32, 6, 2))):
         assert type(arr) is np.ndarray and arr.dtype == np.float64 and arr.shape == shape
-        assert arr.flags.c_contiguous
+        assert arr.transpose(1, 0, 2).flags.c_contiguous
     for n in range(6):
         want = paths[:, n, :] + 1.7 * incs[:, n, :]
         assert np.array_equal(paths[:, n + 1, :], want)
@@ -404,3 +421,69 @@ def test_simulation_rejects_empty_batch():
     p = _free_problem(1, 1.0)
     with pytest.raises((ConfigError, ShapeError)):
         simulate_paths(p, make_uniform_grid(1.0, 2), 0, RngStream(1))
+
+
+@pytest.mark.parametrize("d, batch, steps, rows", [
+    (1, 5, 4, range(5)),
+    (3, 5, 4, range(5)),
+    (7, 5, 4, range(5)),
+    (1, 33_000, 2, (0, PASS_SIZE - 1, PASS_SIZE, 32_999)),
+], ids=["d1", "d3", "d7", "d1-slab-in-runs"])
+def test_paths_match_scalar_sub_streams(d, batch, steps, rows):
+    # the kernel's pieces: several whole steps for a small batch, runs of
+    # samples within one step when a step's slab is wider than a pass; and
+    # its odd widths, with passes narrower (d = 1, 3) and not narrower (d = 7)
+    # than the column-at-a-time keying
+    p = ProblemSpec(
+        name="test", d=d, T=1.0, sigma=1.3,
+        f=None, g=lambda x: np.zeros(x.shape[0]),
+        xi=XiSampler.uniform_box(-np.ones(d), np.ones(d)), exact=None,
+    )
+    grid = make_uniform_grid(1.0, steps)
+    root = RngStream(17)
+    paths, incs = simulate_paths(p, grid, batch, root)
+    dt = np.diff(grid.times)
+    for i in rows:
+        x = p.xi.sample_block(root, i, i + 1)[0]
+        assert np.array_equal(paths[i, 0], x)
+        for n in range(steps):
+            # the kernel's stream draws, and the python-int reference
+            z = root.derive(n + 1, i).normals(d)
+            assert np.array_equal(z, _scalar_normals(root.derive(n + 1, i), d))
+            dw = z * np.sqrt(dt[n])
+            assert np.array_equal(incs[i, n], dw), (i, n)
+            x = x + 1.3 * dw
+            assert np.array_equal(paths[i, n + 1], x), (i, n)
+
+
+def test_simulation_memory_stays_bounded():
+    # only the two results span the batch: the seeds, the kernel's buffers
+    # and the per-sample keys are each about one pass
+    p = get_problem("allen_cahn", 1)
+    grid = make_uniform_grid(p.T, 40)
+    tracemalloc.start()
+    try:
+        paths, incs = simulate_paths(p, grid, 100_000, RngStream(47))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    extra = peak - paths.nbytes - incs.nbytes
+    assert extra < 2e6, f"traced peak {extra / 1e6:.1f} MB over the results"
+
+
+@pytest.mark.parametrize("batch", [2.5, True, 0, -3, "4"])
+def test_simulation_checks_its_batch(batch):
+    # 2.5 once failed as a TypeError from numpy, and True ran one sample
+    p = _free_problem(1, 1.0)
+    with pytest.raises(ConfigError, match="batch must be an integer >= 1"):
+        simulate_paths(p, make_uniform_grid(1.0, 2), batch, RngStream(1))
+
+
+@pytest.mark.parametrize("n", [-1, 2.5, True, "3"])
+@pytest.mark.parametrize("kind", ["uniforms", "normals"])
+def test_stream_draws_check_their_count(kind, n):
+    # -1 once gave an empty array and 2.5 gave 2 draws, both silently
+    s = RngStream(1)
+    with pytest.raises(ConfigError, match="n must be an integer >= 0"):
+        getattr(s, kind)(n)
+    assert s.counter == 0 and getattr(s, kind)(np.int64(0)).shape == (0,)

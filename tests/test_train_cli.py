@@ -843,7 +843,7 @@ def test_cli_eval_zero_samples_exits_2(tmp_path, capsys):
     code = main(["eval", "--params", str(path), "--problem", "heat", "--samples", "0"])
     assert code == 2
     captured = capsys.readouterr()
-    assert "n_eval must be at least 1" in captured.err
+    assert "n_eval must be an integer >= 1" in captured.err
     assert "over 0 draws" not in captured.out
 
 
