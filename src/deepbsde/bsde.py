@@ -126,10 +126,10 @@ def _check_paths(problem, grid, states, incs):
     batch = states.shape[0]
     if batch < 1:
         raise ShapeError("empty batch")
-    if states.shape != (batch, grid.num_steps + 1, problem.d):
-        raise ShapeError(f"states shaped {states.shape}, expected {(batch, grid.num_steps + 1, problem.d)}")
-    if incs.shape != (batch, grid.num_steps, problem.d):
-        raise ShapeError(f"increments shaped {incs.shape}, expected {(batch, grid.num_steps, problem.d)}")
+    if states.shape != (batch, grid.size, problem.d):
+        raise ShapeError(f"states shaped {states.shape}, expected {(batch, grid.size, problem.d)}")
+    if incs.shape != (batch, grid.size - 1, problem.d):
+        raise ShapeError(f"increments shaped {incs.shape}, expected {(batch, grid.size - 1, problem.d)}")
 
 
 def _terminal_values(problem, x_terminal):
@@ -159,9 +159,9 @@ def _forward(problem, grid, states, incs, y, z_at, steps=None):
     dW - dt f_z) to `steps`.
     """
     batch = states.shape[0]
-    for n in range(grid.num_steps):
-        t_n = float(grid.times[n])
-        dt_n = grid.dt(n)
+    for n in range(grid.size - 1):
+        t_n = float(grid[n])
+        dt_n = float(grid[n + 1] - grid[n])
         x_n = states[:, n, :]
         dw = incs[:, n, :]
         saved = None if steps is None else []
@@ -214,8 +214,8 @@ def _in_blocks(problem, states, incs, forward):
 def _check_bank_paths(problem, bank, grid, states, incs):
     if bank.d != problem.d:
         raise ConfigError(f"bank dimension {bank.d} != problem dimension {problem.d}")
-    if bank.num_steps != grid.num_steps:
-        raise ConfigError(f"bank has {bank.num_steps} steps, grid has {grid.num_steps}")
+    if bank.num_steps != grid.size - 1:
+        raise ConfigError(f"bank has {bank.num_steps} steps, grid has {grid.size - 1}")
     _check_paths(problem, grid, states, incs)
 
 
@@ -316,7 +316,7 @@ def oracle_rollout_loss(problem, grid, states, incs):
     _check_paths(problem, grid, states, incs)
 
     def z_at(n, x_n, saved):
-        t_n = float(grid.times[n])
+        t_n = float(grid[n])
         grad = np.asarray(problem.exact.grad(t_n, x_n), dtype=np.float64)
         return grad * problem.sigma
 

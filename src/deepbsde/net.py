@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .problems import XI_MODES
-from .sde import RngStream
+from .sde import RngStream, as_count
 
 SHARINGS = ("independent", "shared")
 ACTIVATION_KINDS = ("tanh", "relu", "identity")
@@ -173,8 +173,7 @@ def layout(xi_mode, sharing, d, num_steps, hidden, activation):
         raise ConfigError(f"unknown xi_mode '{xi_mode}' (expected one of {XI_MODES})")
     if sharing not in SHARINGS:
         raise ConfigError(f"unknown sharing '{sharing}' (expected one of {SHARINGS})")
-    if d < 1 or num_steps < 1:
-        raise ConfigError(f"need d >= 1 and num_steps >= 1, got d={d}, num_steps={num_steps}")
+    d, num_steps = as_count(d, "d"), as_count(num_steps, "num_steps")
     if any(w < 1 for w in hidden):
         raise ConfigError(f"layer widths must be positive, got {(d, *hidden, d)}")
     if activation not in ACTIVATION_KINDS:

@@ -5,6 +5,7 @@ allocated once, by `AdamState.create`; that state is the optimizer's whole
 state, and its BETA1, BETA2 and EPS are Kingma & Ba's constants.
 """
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -32,8 +33,8 @@ def _check_pair(params, grads):
 
 def sgd_step(params, grads, lr):
     """params -= lr * grads."""
-    if lr <= 0.0:
-        raise ConfigError(f"learning rate must be positive, got {lr}")
+    if not 0.0 < lr < math.inf:
+        raise ConfigError(f"learning rate must be positive and finite, got {lr}")
     params -= lr * _check_pair(params, grads)
 
 
@@ -53,8 +54,8 @@ class AdamState:
 
 def adam_step(state, params, grads, lr):
     """One bias-corrected moment update of params, state.m and state.v."""
-    if lr <= 0.0:
-        raise ConfigError(f"learning rate must be positive, got {lr}")
+    if not 0.0 < lr < math.inf:
+        raise ConfigError(f"learning rate must be positive and finite, got {lr}")
     grads = _check_pair(params, grads)
     if state.m.shape != params.shape:
         raise ShapeError(f"state sized {state.m.shape} does not match params {params.shape}")
@@ -92,8 +93,8 @@ def adam_step(state, params, grads, lr):
 def clip_by_global_norm(grads, max_norm):
     """Rescale grads in place so its euclidean norm is at most max_norm
     (untouched below it); grads must be an ndarray."""
-    if max_norm <= 0.0:
-        raise ConfigError(f"max_norm must be positive, got {max_norm}")
+    if not 0.0 < max_norm < math.inf:
+        raise ConfigError(f"max_norm must be positive and finite, got {max_norm}")
     norm = float(np.linalg.norm(grads))
     if norm > max_norm:
         grads *= max_norm / norm

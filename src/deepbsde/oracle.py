@@ -11,6 +11,7 @@ never load it.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ from .errors import ConfigError, NumericError
 from .problems import as_number, as_vector, check_horizon
 # simulate_paths is no longer called here, but benchmarks/tracing.py wraps
 # it under this module's name, where it now sees no calls
-from .sde import PASS_SIZE, simulate_paths  # noqa: F401
+from .sde import PASS_SIZE, as_count, simulate_paths  # noqa: F401
 
 _MIN_SAMPLES = 100
 
@@ -38,8 +39,6 @@ def _terminal_values(g, x0, scale, n_samples, stream):
     """g(x0 + scale Z) for n_samples rows Z of d standard normals, drawn in
     chunks of about one draw-kernel pass: the normals and the terminal
     points stay in cache, and no full-size temporary is made."""
-    if n_samples < _MIN_SAMPLES:
-        raise ConfigError(f"need at least {_MIN_SAMPLES} samples, got {n_samples}")
     d = x0.size
     values = np.empty(n_samples, dtype=np.float64)
     chunk = max(1, PASS_SIZE // d)
@@ -66,6 +65,7 @@ def mc_feynman_kac(problem, x0, n_samples, grid, stream):
         )
     check_horizon(problem, grid)
     x0 = as_vector(x0, problem.d, "x0")
+    n_samples = as_count(n_samples, "n_samples", _MIN_SAMPLES)
     values = _terminal_values(problem.g, x0, problem.sigma * math.sqrt(problem.T),
                               n_samples, stream)
     value = float(np.mean(values))
@@ -89,7 +89,9 @@ def cole_hopf_mc(lam, g, x0, horizon, n_samples, stream):
         raise ConfigError(f"lambda must be positive, got {lam}")
     if horizon <= 0.0:
         raise ConfigError(f"horizon must be positive, got {horizon}")
-    x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
+    # x0 is a point of any dimension d >= 1, so its own size is d
+    x0 = as_vector(x0, max(np.size(x0), 1), "x0")
+    n_samples = as_count(n_samples, "n_samples", _MIN_SAMPLES)
     exponents = -lam * _terminal_values(g, x0, math.sqrt(2.0 * horizon), n_samples, stream)
     shift = float(np.max(exponents))
     weights = np.exp(exponents - shift)
@@ -127,22 +129,22 @@ def fd_semilinear_1d(problem, x0, half_width=None, nodes=400, time_steps=None):
     """
     if problem.d != 1:
         raise ConfigError(f"finite-difference route requires d = 1, got d = {problem.d}")
-    if nodes < 8:
-        raise ConfigError(f"need at least 8 spatial intervals, got {nodes}")
-    x0 = float(np.asarray(x0).reshape(-1)[0])
+    m = as_count(nodes, "nodes", 8)
+    x0 = float(as_vector(x0, 1, "x0")[0])
     T = problem.T
     default_width = 6.0 * problem.sigma * math.sqrt(T)
-    half_width = default_width if half_width is None else float(half_width)
-    if not (math.isfinite(half_width) and half_width > 0.0):
-        raise ConfigError(f"half_width must be positive and finite, got {half_width}")
+    if half_width is None:
+        half_width = default_width
+    elif isinstance(half_width, numbers.Real) and not isinstance(half_width, (bool, np.bool_)):
+        half_width = float(half_width)
+    if not (isinstance(half_width, float) and math.isfinite(half_width) and half_width > 0.0):
+        raise ConfigError(f"half_width must be positive and finite, got {half_width!r}")
 
-    m = int(nodes)
     xs = np.linspace(x0 - half_width, x0 + half_width, m + 1)
     if time_steps is None:
         time_steps = max(int(math.ceil(m * (default_width / half_width))),
                          _stable_steps(problem, xs), 1)
-    if time_steps < 1:
-        raise ConfigError(f"need at least one time step, got {time_steps}")
+    time_steps = as_count(time_steps, "time_steps")
     coarse = _march(problem, xs, time_steps)
     fine = _march(problem, xs, 2 * time_steps)
     value = float(np.interp(x0, xs, 2.0 * fine - coarse))

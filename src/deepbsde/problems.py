@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .sde import block_uniforms
+from .sde import as_count, block_uniforms
 
 BUILTIN_PROBLEMS = ("heat", "hjb", "allen_cahn")
 # the start laws: a point mass (xi0) or a uniform box (box_low, box_high)
@@ -108,8 +108,8 @@ class ProblemSpec:
 
 def check_horizon(problem, grid):
     """A time grid serves a problem only if it ends at the problem's T."""
-    if grid.horizon != problem.T:
-        raise ConfigError(f"time grid ends at {grid.horizon}, problem '{problem.name}' has T = {problem.T}")
+    if grid[-1] != problem.T:
+        raise ConfigError(f"time grid ends at {grid[-1]}, problem '{problem.name}' has T = {problem.T}")
 
 
 def _sq_norm(x):
@@ -235,8 +235,9 @@ def get_problem(name, d, overrides=None):
         raise ConfigError(
             f"unknown override keys {unknown} for '{name}' (accepted: {sorted(allowed)})"
         )
-    if d < 1:
+    if isinstance(d, numbers.Integral) and d < 1:
         raise ConfigError(f"dimension must be at least 1, got {d}")
+    d = as_count(d, "dimension")
     T = as_number(overrides.get("T", 1.0), "T")
     xi = _build_xi(d, overrides)
     if name == "heat":

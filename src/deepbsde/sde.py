@@ -1,13 +1,14 @@
 """Seedable counter-based randomness and forward path simulation.
 
-The forward process is X = xi + s W on the uniform time grid that
-make_uniform_grid builds: X_{n+1} = X_n + s dW_n with no drift and one
-constant s per problem (sigma = s I), accumulated in place in the path
-array. `_simulate_block` simulates samples [lo, hi) of a batch into arrays
-of its own; a batch from simulate_paths is the block [0, batch). The arrays
-are stored step-major, [N+1, batch, d] and [N, batch, d], and handed out as
-their [batch, N+1, d] and [batch, N, d] transposed views, so the rollouts'
-per-step slabs states[:, n, :] and increments[:, n, :] are contiguous.
+The forward process is X = xi + s W on a time grid, which is just its
+read-only times t_0 = 0 < ... < t_N as make_uniform_grid returns them:
+X_{n+1} = X_n + s dW_n with no drift and one constant s per problem
+(sigma = s I), accumulated in place in the path array. `_simulate_block`
+simulates samples [lo, hi) of a batch into arrays of its own; a batch from
+simulate_paths is the block [0, batch). The arrays are stored step-major,
+[N+1, batch, d] and [N, batch, d], and handed out as their [batch, N+1, d]
+and [batch, N, d] transposed views, so the rollouts' per-step slabs
+states[:, n, :] and increments[:, n, :] are contiguous.
 
 The generator is splitmix64: output k (1-based) of a stream with seed state
 s is mix64(s + k * GOLDEN). Because every draw is a pure function of
@@ -39,7 +40,6 @@ few columns wide forms its keys one column at a time.
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -270,26 +270,10 @@ def block_normals(stream, stage, lo, hi, n):
     return out
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Read-only times t_0 = 0 < ... < t_N; make_uniform_grid builds it."""
-
-    times: np.ndarray
-
-    @property
-    def num_steps(self):
-        return self.times.size - 1
-
-    @property
-    def horizon(self):
-        return float(self.times[-1])
-
-    def dt(self, n):
-        return float(self.times[n + 1] - self.times[n])
-
-
 def make_uniform_grid(horizon, num_steps):
-    """Uniform grid on [0, horizon] with the final time pinned exactly."""
+    """The uniform time grid on [0, horizon]: a read-only float64 array of
+    the num_steps + 1 times t_0 = 0 < ... < t_N, the last pinned to horizon
+    exactly. N is grid.size - 1, step n's dt is grid[n + 1] - grid[n]."""
     real = isinstance(horizon, numbers.Real) and not isinstance(horizon, bool)
     if not real or not math.isfinite(horizon) or horizon <= 0.0:
         raise ConfigError(f"horizon must be a finite number > 0, got {horizon!r}")
@@ -297,7 +281,7 @@ def make_uniform_grid(horizon, num_steps):
     times = np.arange(num_steps + 1, dtype=np.float64) * (horizon / num_steps)
     times[-1] = horizon
     times.flags.writeable = False
-    return TimeGrid(times)
+    return times
 
 
 def _simulate_block(problem, grid, stream, lo, hi):
@@ -314,12 +298,12 @@ def _simulate_block(problem, grid, stream, lo, hi):
     summed along time in place, X_{n+1} = X_n + s dW_n, while it is still
     in cache.
     """
-    n_steps = grid.num_steps
+    n_steps = grid.size - 1
     d = problem.d
     states = np.empty((n_steps + 1, hi - lo, d), dtype=np.float64)
     increments = np.empty((n_steps, hi - lo, d), dtype=np.float64)
     states[0] = problem.xi.sample_block(stream, lo, hi)
-    scale = np.sqrt(np.diff(grid.times))
+    scale = np.sqrt(np.diff(grid))
     run = max(1, PASS_SIZE // d)  # samples of one step in a pass
     per = max(1, run // (hi - lo))  # whole steps in a pass
     for s0 in range(0, n_steps, per):

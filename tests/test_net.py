@@ -268,6 +268,11 @@ def test_bank_validation():
         SubnetBank.create("box", "sometimes", 2, 3)
     with pytest.raises(ConfigError):
         SubnetBank.create("box", "independent", 0, 3)
+    # 2.5 once raised TypeError, and True built a one-step bank
+    with pytest.raises(ConfigError, match="d must be an integer >= 1, got 2.5"):
+        SubnetBank.create("point", "independent", 2.5, 3)
+    with pytest.raises(ConfigError, match="num_steps must be an integer >= 1, got True"):
+        SubnetBank.create("point", "independent", 2, True)
     with pytest.raises(ConfigError, match=r"layer widths must be positive, got \(4, 0, 4\)"):
         SubnetBank.create("box", "independent", 4, 3, hidden=(0,))
     with pytest.raises(ConfigError, match="unknown activation 'softmax'"):

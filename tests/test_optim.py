@@ -28,8 +28,10 @@ def test_sgd_zero_gradient():
 
 
 def test_sgd_rejects_nonpositive_lr():
-    with pytest.raises(ConfigError):
-        sgd_step(np.zeros(2), np.zeros(2), 0.0)
+    # NaN once wrote NaN into params and inf was accepted
+    for lr in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            sgd_step(np.zeros(2), np.zeros(2), lr)
 
 
 def test_sgd_rejects_length_mismatch():
@@ -93,8 +95,11 @@ def test_steps_update_their_buffers_in_place():
 
 def test_adam_validation():
     state = AdamState.create(2)
-    with pytest.raises(ConfigError):
-        adam_step(state, np.zeros(2), np.zeros(2), 0.0)
+    for lr in (0.0, float("nan"), float("inf")):
+        params = np.zeros(2)
+        with pytest.raises(ConfigError):
+            adam_step(state, params, np.zeros(2), lr)
+        assert np.array_equal(params, [0.0, 0.0])
     with pytest.raises(ShapeError):
         adam_step(state, np.zeros(2), np.zeros(5), 1e-2)
 
@@ -107,6 +112,10 @@ def test_clip_by_global_norm():
     small = np.array([0.1, 0.1])
     clip_by_global_norm(small, 1.0)
     assert np.array_equal(small, [0.1, 0.1])
+    # a NaN bound once left every gradient unclipped
+    for max_norm in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            clip_by_global_norm(np.array([3.0, 4.0]), max_norm)
 
 
 def test_lr_schedule_examples():

@@ -68,8 +68,10 @@ def test_fk_rejects_a_grid_off_the_problem_horizon():
 
 def test_fk_rejects_tiny_sample():
     p = get_problem("heat", 1)
-    with pytest.raises(ConfigError):
-        mc_feynman_kac(p, np.zeros(1), 50, make_uniform_grid(1.0, 4), RngStream(0))
+    # 1000.0 and the numpy float once raised TypeError
+    for n_samples in (50, 1000.0, np.float64(1000.0), True):
+        with pytest.raises(ConfigError, match="n_samples must be an integer >= 100"):
+            mc_feynman_kac(p, np.zeros(1), n_samples, make_uniform_grid(1.0, 4), RngStream(0))
 
 
 def test_fk_deterministic_given_seed():
@@ -148,17 +150,21 @@ def test_cole_hopf_validation():
         cole_hopf_mc(1.0, g, np.zeros(1), -1.0, 1000, RngStream(0))
 
 
-@pytest.mark.parametrize("lam, horizon, key", [
-    (float("nan"), 1.0, "lambda"),
-    (float("inf"), 1.0, "lambda"),
-    (1.0, float("nan"), "horizon"),
-    (1.0, float("inf"), "horizon"),
-], ids=["nan-lambda", "inf-lambda", "nan-horizon", "inf-horizon"])
-def test_cole_hopf_rejects_non_finite_settings(lam, horizon, key):
-    # these once passed the <= 0 checks and ended in a NumericError on the
-    # terminal values, the exit-3 class, not as a bad setting
-    with pytest.raises(ConfigError, match=f"'{key}' must be a finite number"):
-        cole_hopf_mc(lam, lambda x: x[:, 0], np.zeros(1), horizon, 1000, RngStream(0))
+@pytest.mark.parametrize("setting, message", [
+    ({"lam": float("nan")}, "'lambda' must be a finite number"),
+    ({"lam": float("inf")}, "'lambda' must be a finite number"),
+    ({"horizon": float("nan")}, "'horizon' must be a finite number"),
+    ({"horizon": float("inf")}, "'horizon' must be a finite number"),
+    ({"x0": [0.0, float("nan")]}, "'x0' must be a finite number"),
+    ({"n_samples": 1000.0}, "n_samples must be an integer >= 100"),
+], ids=["nan-lambda", "inf-lambda", "nan-horizon", "inf-horizon", "nan-x0", "float-samples"])
+def test_cole_hopf_rejects_non_finite_settings(setting, message):
+    # the non-finite ones once passed the <= 0 checks and ended in a
+    # NumericError on the terminal values, the exit-3 class, not as a bad
+    # setting; the float count raised TypeError
+    args = {"lam": 1.0, "x0": np.zeros(1), "horizon": 1.0, "n_samples": 1000} | setting
+    with pytest.raises(ConfigError, match=message):
+        cole_hopf_mc(g=lambda x: x[:, 0], stream=RngStream(0), **args)
 
 
 def test_monte_carlo_values_pinned():
@@ -250,11 +256,29 @@ def test_fd_default_steps_keep_a_gradient_driver_stable():
     assert abs(est.value - finer.value) < 1e-4
 
 
-@pytest.mark.parametrize("half_width", [float("nan"), float("inf"), -1.0, 0.0])
+@pytest.mark.parametrize("half_width", [float("nan"), float("inf"), -1.0, 0.0, "2"])
 def test_fd_rejects_a_bad_half_width_before_marching(half_width):
     p = get_problem("allen_cahn", 1)
     with pytest.raises(ConfigError, match="half_width must be positive and finite"):
         fd_semilinear_1d(p, x0=0.0, half_width=half_width, nodes=100, time_steps=10)
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"nodes": 50.5}, "nodes must be an integer >= 8"),
+    ({"nodes": float("nan")}, "nodes must be an integer >= 8"),
+    ({"nodes": 7}, "nodes must be an integer >= 8"),
+    ({"time_steps": 2.5}, "time_steps must be an integer >= 1"),
+    ({"time_steps": 0}, "time_steps must be an integer >= 1"),
+    ({"x0": float("nan")}, "'x0' must be a finite number"),
+    ({"x0": [0.1, 5.0]}, "'x0' needs 1 entry, got 2"),
+], ids=["fractional-nodes", "nan-nodes", "seven-nodes", "fractional-steps", "zero-steps",
+        "nan-x0", "two-entry-x0"])
+def test_fd_checks_its_counts_and_start(setting, message):
+    # 50.5 nodes once marched 50, a fractional step count raised TypeError,
+    # a NaN start ended in NumericError and [0.1, 5.0] silently read 0.1
+    args = {"x0": 0.0, "nodes": 50, "time_steps": 10} | setting
+    with pytest.raises(ConfigError, match=message):
+        fd_semilinear_1d(get_problem("allen_cahn", 1), **args)
 
 
 def test_fd_interpolates_at_x0():

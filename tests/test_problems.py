@@ -216,6 +216,10 @@ def test_dimension_validated():
     for d in (0, -1):
         with pytest.raises(ConfigError, match="dimension must be at least 1"):
             get_problem("heat", d)
+    # these once raised TypeError
+    for d in (2.5, True, "3"):
+        with pytest.raises(ConfigError, match="dimension must be an integer >= 1"):
+            get_problem("heat", d)
 
 
 def test_builtin_sigma_is_sqrt2():

@@ -266,19 +266,18 @@ def test_block_normals_odd_width_wider_than_a_pass_match_streams():
 
 def test_uniform_grid_quarters():
     grid = make_uniform_grid(1.0, 4)
-    assert np.array_equal(grid.times, np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
-    assert grid.num_steps == 4
+    assert np.array_equal(grid, np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
+    assert grid.size - 1 == 4
 
 
 def test_uniform_grid_single_step():
     grid = make_uniform_grid(2.5, 1)
-    assert np.array_equal(grid.times, np.array([0.0, 2.5]))
+    assert np.array_equal(grid, np.array([0.0, 2.5]))
 
 
 def test_uniform_grid_endpoint_exact():
     grid = make_uniform_grid(0.7, 7)
-    assert grid.times[-1] == 0.7
-    assert grid.horizon == 0.7
+    assert grid[-1] == 0.7
 
 
 def test_grid_validation():
@@ -308,7 +307,7 @@ def test_uniform_grid_checks_its_arguments(horizon, num_steps, message):
 def test_grid_times_read_only():
     grid = make_uniform_grid(1.0, 4)
     with pytest.raises(ValueError):
-        grid.times[0] = 5.0
+        grid[0] = 5.0
 
 
 # -- path simulation ----------------------------------------------------------
@@ -442,7 +441,7 @@ def test_paths_match_scalar_sub_streams(d, batch, steps, rows):
     grid = make_uniform_grid(1.0, steps)
     root = RngStream(17)
     paths, incs = simulate_paths(p, grid, batch, root)
-    dt = np.diff(grid.times)
+    dt = np.diff(grid)
     for i in rows:
         x = p.xi.sample_block(root, i, i + 1)[0]
         assert np.array_equal(paths[i, 0], x)
