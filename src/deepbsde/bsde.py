@@ -15,14 +15,17 @@ each Z_n come from:
   - oracle_rollout_loss: the closed-form solution in place of the networks,
     which isolates pure time-discretization error
 
-The two tape-free rollouts walk the batch in consecutive blocks of
-VALUE_BLOCK samples, so a large held-out batch never builds a temporary of
-more than one block's rows; only their outputs, one number per sample, span
-the batch, and the loss is taken once over the whole gap. The blocks leave
-every bit of one whole-batch pass wherever OpenBLAS gives each row of a
-block's products the kernel it gets in the whole batch, as on both
-benchmark workloads (see VALUE_BLOCK): each sample's recursion reads only
-its own rows. A failure names the step and sample one pass would name.
+The two tape-free rollouts walk the batch in consecutive blocks of at most
+VALUE_BLOCK samples (fewer for wide layers, see _block_rows), so a large
+held-out batch never builds a temporary of more than one block's rows; only
+their outputs, one number per sample, span the batch, and the loss is taken
+once over the whole gap. The blocks leave every bit of one whole-batch pass
+wherever OpenBLAS gives each row of a block's products the kernel it gets
+in the whole batch, as on both benchmark workloads (see VALUE_BLOCK): each
+sample's recursion reads only its own rows. Runs of whole blocks go to the
+CPUs, one per usable CPU (sde._run_spans); the blocks do not depend on the
+CPU count, so neither do the outputs. A failure names the step and sample
+one pass would name.
 
 `backward` is the hand-derived adjoint. From ybar_N = 2 (Y_N - g) / B it
 runs, for n = N-1, ..., 0,
@@ -43,7 +46,7 @@ import numpy as np
 from .errors import ConfigError, NumericError, ShapeError
 from .net import mlp_backward, mlp_eval
 from .problems import check_horizon
-from .sde import as_count
+from .sde import _run_spans, _shares, as_count
 
 # Samples per block of the tape-free rollouts. A block's outputs are bitwise
 # those of one whole-batch pass where OpenBLAS computes each row of each
@@ -58,6 +61,22 @@ from .sde import as_count
 # OpenBLAS's small-matrix kernel and a whole batch does not, blocks of 2,048
 # move most values by round-off (about 3e-16 of their size).
 VALUE_BLOCK = 2048
+# A block has VALUE_BLOCK rows, halved while its widest array, one row per
+# sample and one column per unit of the widest layer, would hold more than
+# this many values. A worker thread's blocks add to the peak RSS what its
+# own heap keeps, a few such arrays: on hjb_d100 (110-wide layers) about
+# 3.3 KB a row, 0.85 MB at the 256 rows this gives and 0.4 MB at 128.
+# Blocks of 128 to 2,048 rows keep every bit there; allen_cahn_d1 keeps
+# 2,048, where halving cost a third more time.
+_BLOCK_VALUES = 1 << 15
+
+
+def _block_rows(width):
+    """Rows of a tape-free rollout block whose widest layer is `width`."""
+    rows = VALUE_BLOCK
+    while rows > 1 and rows * width > _BLOCK_VALUES:
+        rows //= 2
+    return rows
 
 
 class _NonFiniteValue(NumericError):
@@ -180,32 +199,40 @@ def _forward(problem, grid, states, incs, y, z_at, steps=None):
                 a, c = 1.0 - dt_n * f_y, dw - dt_n * f_z
         if steps is not None:
             steps.append((saved, a, c))
-        y = y_next
+        # Z_n goes before Z_{n+1} is made: a block holds one at a time
+        y, z = y_next, None
         if not np.all(np.isfinite(y)):
             raise _NonFiniteValue(n, int(np.argwhere(~np.isfinite(y[:, 0]))[0][0]))
     return y
 
 
-def _in_blocks(problem, states, incs, forward):
+def _in_blocks(problem, states, incs, forward, width):
     """(Y_0, Y_N, g(X_N)), each [batch], from `forward(states, incs) ->
-    (Y_0, Y_N)` run on consecutive blocks of VALUE_BLOCK samples.
+    (Y_0, Y_N)` run on consecutive blocks of _block_rows(width) samples,
+    where `width` is that of the widest layer. Runs of whole blocks go to
+    the CPUs (sde._run_spans), each block writing only its own rows.
 
     A failure is the one a single pass over the whole batch raises: a
     non-finite Y at the earliest step, lowest sample first, before any
     non-finite g(X_N), lowest sample first.
     """
-    batch = states.shape[0]
+    batch, rows = states.shape[0], _block_rows(width)
     y0, y, g = np.empty(batch), np.empty(batch), np.empty(batch)
-    failures = []
-    for lo in range(0, batch, VALUE_BLOCK):
-        hi = min(lo + VALUE_BLOCK, batch)
-        try:
-            y0_block, y_block = forward(states[lo:hi], incs[lo:hi])
-        except _NonFiniteValue as e:
-            failures.append((e.step, lo + e.sample))
-            continue
-        y0[lo:hi], y[lo:hi] = y0_block[:, 0], y_block[:, 0]
-        g[lo:hi] = _terminal_values(problem, states[lo:hi, -1, :])
+
+    def run(b0, b1, failures):
+        for lo in range(b0 * rows, min(b1 * rows, batch), rows):
+            hi = min(lo + rows, batch)
+            try:
+                y0_block, y_block = forward(states[lo:hi], incs[lo:hi])
+            except _NonFiniteValue as e:
+                failures.append((e.step, lo + e.sample))
+                continue
+            y0[lo:hi], y[lo:hi] = y0_block[:, 0], y_block[:, 0]
+            g[lo:hi] = _terminal_values(problem, states[lo:hi, -1, :])
+
+    spans = [(b0, b1, []) for b0, b1 in _shares(-(-batch // rows), 1)]
+    _run_spans(run, spans)
+    failures = [f for _, _, found in spans for f in found]
     if failures:
         raise _NonFiniteValue(*min(failures))
     return y0, y, _checked_terminal(g)
@@ -297,9 +324,11 @@ def _add_layers(views, layers):
 
 def rollout_values(problem, bank, grid, states, incs):
     """The forward of rollout_loss, saving nothing, as plain arrays, in
-    blocks of VALUE_BLOCK samples."""
+    blocks (see _block_rows) spread over the CPUs."""
     _check_bank_paths(problem, bank, grid, states, incs)
-    y0, y, g = _in_blocks(problem, states, incs, lambda s, i: _bank_forward(problem, bank, grid, s, i))
+    y0, y, g = _in_blocks(problem, states, incs,
+                          lambda s, i: _bank_forward(problem, bank, grid, s, i),
+                          max(bank.d, *bank.hidden))
     gap = g - y
     return ValueRollout(loss=_mse(gap), y0_values=y0, terminal_values=y, terminal_gap=gap)
 
@@ -324,7 +353,7 @@ def oracle_rollout_loss(problem, grid, states, incs):
         y0 = np.asarray(problem.exact.u(0.0, s[:, 0, :]), dtype=np.float64).reshape(s.shape[0], 1)
         return y0, _forward(problem, grid, s, i, y0, z_at)
 
-    _, y, g = _in_blocks(problem, states, incs, forward)
+    _, y, g = _in_blocks(problem, states, incs, forward, problem.d)
     return _mse(g - y)
 
 

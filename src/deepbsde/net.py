@@ -109,6 +109,8 @@ class SubnetBank:
     """
 
     def __init__(self, xi_mode, sharing, d, num_steps, hidden=None, activation="tanh"):
+        # checked before default_hidden reads d
+        d, num_steps = as_count(d, "d"), as_count(num_steps, "num_steps")
         self.xi_mode, self.sharing, self.d, self.num_steps = xi_mode, sharing, d, num_steps
         self.hidden = tuple(int(w) for w in (default_hidden(d) if hidden is None else hidden))
         self.activation = activation

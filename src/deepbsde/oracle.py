@@ -18,9 +18,10 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .problems import as_number, as_vector, check_horizon
+from .sde import _MIN_PASSES, PASS_SIZE, _run_spans, _shares, _Workspace, as_count
 # simulate_paths is no longer called here, but benchmarks/tracing.py wraps
 # it under this module's name, where it now sees no calls
-from .sde import PASS_SIZE, as_count, simulate_paths  # noqa: F401
+from .sde import simulate_paths  # noqa: F401
 
 _MIN_SAMPLES = 100
 
@@ -36,16 +37,31 @@ class OracleEstimate:
 
 
 def _terminal_values(g, x0, scale, n_samples, stream):
-    """g(x0 + scale Z) for n_samples rows Z of d standard normals, drawn in
-    chunks of about one draw-kernel pass: the normals and the terminal
-    points stay in cache, and no full-size temporary is made."""
+    """g(x0 + scale Z) for n_samples rows Z of d standard normals: the
+    n_samples * d normals stream.normals would hand out next, and the
+    stream is left as that call leaves it.
+
+    They are drawn in chunks of about one draw-kernel pass, so the normals
+    and the terminal points stay in cache and no full-size temporary is
+    made. Runs of whole chunks go to the CPUs (sde._run_spans); each chunk
+    reads its normals from its own place in the stream, through its span's
+    buffers, so every value is the same on any number of CPUs.
+    """
     d = x0.size
     values = np.empty(n_samples, dtype=np.float64)
     chunk = max(1, PASS_SIZE // d)
-    for lo in range(0, n_samples, chunk):
-        hi = min(lo + chunk, n_samples)
-        z = stream.normals((hi - lo) * d).reshape(hi - lo, d)
-        values[lo:hi] = np.asarray(g(x0 + scale * z), dtype=np.float64).reshape(hi - lo)
+
+    def draw(c0, c1, work, buf):
+        for lo in range(c0 * chunk, min(c1 * chunk, n_samples), chunk):
+            hi = min(lo + chunk, n_samples)
+            x = stream._normals_at(lo * d, (hi - lo) * d, buf, work).reshape(hi - lo, d)
+            x *= scale  # the terminal points x0 + scale Z, in the span's buffer
+            np.add(x0, x, out=x)
+            values[lo:hi] = np.asarray(g(x), dtype=np.float64).reshape(hi - lo)
+
+    spans = _shares(-(-n_samples // chunk), _MIN_PASSES)
+    _run_spans(draw, [(c0, c1, _Workspace(), np.empty(chunk * d + 1)) for c0, c1 in spans])
+    stream._skip_normals(n_samples * d)
     if not np.all(np.isfinite(values)):
         raise NumericError("non-finite terminal values in Monte Carlo")
     return values
@@ -90,7 +106,7 @@ def cole_hopf_mc(lam, g, x0, horizon, n_samples, stream):
     if horizon <= 0.0:
         raise ConfigError(f"horizon must be positive, got {horizon}")
     # x0 is a point of any dimension d >= 1, so its own size is d
-    x0 = as_vector(x0, max(np.size(x0), 1), "x0")
+    x0 = as_vector(x0, None, "x0")
     n_samples = as_count(n_samples, "n_samples", _MIN_SAMPLES)
     exponents = -lam * _terminal_values(g, x0, math.sqrt(2.0 * horizon), n_samples, stream)
     shift = float(np.max(exponents))

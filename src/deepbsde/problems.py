@@ -191,16 +191,18 @@ def as_number(value, key):
 
 def as_vector(value, d, key):
     """[d] float array from a number or a 1- or d-entry sequence of numbers
-    (one broadcasts); anything else is a ConfigError naming the key."""
+    (one broadcasts); with d None, a sequence's own length is d. Anything
+    else, a nested or ragged sequence too, is a ConfigError naming the key."""
     items = value.reshape(-1).tolist() if isinstance(value, np.ndarray) else value
     if not isinstance(items, (list, tuple)):
         items = [items]
     arr = np.array([as_number(v, key) for v in items], dtype=np.float64)
+    d = max(arr.size, 1) if d is None else d
     if arr.size == 1:
         return np.full(d, arr[0])
     if arr.size != d:
         need = "1 entry" if d == 1 else f"1 or {d} entries"
-        raise ConfigError(f"override '{key}' needs {need}, got {arr.size}")
+        raise ConfigError(f"'{key}' needs {need}, got {arr.size}")
     return arr
 
 

@@ -31,15 +31,29 @@ its float64 exp loops, which the Cole-Hopf oracle reads; the trig loops
 part only at the SSE baseline.
 
 One kernel, `_draw`, makes every uniform and normal in the package. It works
-in passes of PASS_SIZE values over a few buffers allocated once per call, so
-the mixing, the float conversion and Box-Muller run in place on cache-sized
+in passes of PASS_SIZE values through a workspace of two buffers, so the
+mixing, the float conversion and Box-Muller run in place on cache-sized
 blocks instead of streaming full-length temporaries through memory. With an
 odd count per row, the last pair's partner is never made, and a pass only a
 few columns wide forms its keys one column at a time.
+
+Work made of independent pieces runs on every usable CPU: `_run_spans`
+runs a list of disjoint spans, the first on the calling thread and each
+other on a thread of its own, and `_shares` cuts the work into one span
+per CPU, none shorter than _MIN_PASSES kernel passes, so short calls stay
+on the calling thread. Simulation splits its samples, the Monte Carlo
+oracles their chunks of terminal points, the tape-free rollouts their
+blocks. Each span writes only its own slice of the output and draws
+through buffers of its own, allocated by the calling thread, and every
+value is a function of its sample, step or stream place alone, so results
+are the same bits on any number of CPUs. There is no setting for this.
 """
 
+import contextvars
 import math
 import numbers
+import os
+import threading
 
 import numpy as np
 
@@ -54,10 +68,16 @@ _TWO_32 = 2.0 ** 32
 _LOW_32 = np.uint64(0xFFFFFFFF)
 _TWO_PI = 2.0 * np.pi
 
-# values per pass of the draw kernel; its buffers then take about 1 MB
+# values per pass of the draw kernel; its buffers then take about 0.5 MB
 PASS_SIZE = 1 << 15
 # a pass fewer columns wide than this forms its keys one column at a time
 _NARROW = 8
+# GOLDEN * j mod 2**64 for the columns j of a pass, made once
+_KEYS = np.arange(PASS_SIZE, dtype=np.uint64) * np.uint64(_GOLDEN)
+_KEYS.flags.writeable = False
+# a thread is given no fewer kernel passes than this: starting and joining
+# a thread takes about a sixth of a pass of normals (80 us against 500)
+_MIN_PASSES = 4
 
 
 def _mix64(z):
@@ -83,19 +103,22 @@ def _mix64_inplace(z, tmp):
 
 def _as_float64(z, tmp, out):
     """out = float64(z) for a uint64 array z, rounded once as numpy's cast
-    would be; z and tmp (uint64, z's shape) are overwritten.
+    would be; z and tmp (uint64, z's shape) are overwritten, and out may be
+    tmp itself viewed as float64 when both are 1-D; z is contiguous.
 
     numpy's uint64 -> float64 cast is not vectorised, its int64 one is. The
     32-bit halves convert exactly through int64 views, and float(hi) * 2**32
-    is exact too, so float(hi) * 2**32 + float(lo) is z rounded once.
+    is exact too, so float(hi) * 2**32 + float(lo) is z rounded once. Each
+    half is converted in place where it lies; a 1-D cast onto its own bytes
+    reads each value before writing it and makes no temporary.
     """
     np.right_shift(z, np.uint64(32), out=tmp)
     np.copyto(out, tmp.view(np.int64), casting="unsafe")
     out *= _TWO_32
     z &= _LOW_32
-    low = tmp.view(np.float64)
-    np.copyto(low, z.view(np.int64), casting="unsafe")
-    out += low
+    flat = z.reshape(-1)  # z is contiguous: a 1-D view, cast in place
+    np.copyto(flat.view(np.float64), flat.view(np.int64), casting="unsafe")
+    out += z.view(np.float64)
 
 
 def as_count(value, name, least=1):
@@ -116,7 +139,22 @@ def box_muller_pair(u1, u2):
     return r * np.cos(ang).astype(np.float64), r * np.sin(ang).astype(np.float64)
 
 
-def _draw(states, first, out, normal):
+class _Workspace:
+    """The draw kernel's scratch for passes of up to `size` values: two
+    uint64 buffers, which the mixing, the float conversion and Box-Muller
+    take in turn, and the row keys of a wide pass. A thread reuses one
+    across all its draws; the calling thread allocates it."""
+
+    __slots__ = ("z", "tmp", "row_keys")
+
+    def __init__(self, size=PASS_SIZE):
+        self.z = np.empty(size, dtype=np.uint64)
+        self.tmp = np.empty(size, dtype=np.uint64)
+        # a wide pass has at least _NARROW columns, so at most this many rows
+        self.row_keys = np.empty(max(1, size // _NARROW), dtype=np.uint64)
+
+
+def _draw(states, first, out, normal, work=None):
     """Fill out[r, j] from the stream whose seed state is states[r].
 
     Uniforms: out[r, j] is uniform number first + j + 1 of that stream, in
@@ -125,8 +163,9 @@ def _draw(states, first, out, normal):
     past `first`), made as in box_muller_pair: float64 radius, float32
     angle, float32 cos and sin widened to float64, so each normal is within
     about 4e-7 times its radius of the float64 transform. The work goes in
-    passes of at most PASS_SIZE values: a pass is a block of whole rows when
-    a row is narrower than a pass, or a run of columns of one row when it is
+    passes of at most PASS_SIZE values through `work` (a _Workspace, made
+    to fit when none is given): a pass is a block of whole rows when a row
+    is narrower than a pass, or a run of columns of one row when it is
     wider. Every operation is elementwise, with the operand order of
     box_muller_pair, so every value is the same bit for bit however the
     output is cut.
@@ -137,16 +176,8 @@ def _draw(states, first, out, normal):
     width = n + (n & 1) if normal else n  # normals come in whole pairs
     cols = min(width, PASS_SIZE)
     per = min(rows, PASS_SIZE // cols)
-    z = np.empty(per * cols, dtype=np.uint64)
-    tmp = np.empty_like(z)
-    # GOLDEN * j mod 2**64 for the columns j of a pass
-    steps = np.arange(cols, dtype=np.uint64) * np.uint64(_GOLDEN)
-    row_keys = np.empty(per, dtype=np.uint64)
-    if normal:
-        u = np.empty(per * cols)
-        # float64 radius and angle (then widened trig); float32 angle and trig
-        radius, wide = (np.empty(per * cols // 2) for _ in range(2))
-        ang, trig = (np.empty(per * cols // 2, dtype=np.float32) for _ in range(2))
+    if work is None:
+        work = _Workspace(per * cols)
     for c0 in range(0, width, cols):
         cw = min(cols, width - c0)
         # GOLDEN times a column's counter, formed as a masked python int: for
@@ -157,28 +188,38 @@ def _draw(states, first, out, normal):
                 for j in range(cw if cw < _NARROW else 1)]
         for r0 in range(0, rows, per):
             r1 = min(r0 + per, rows)
-            m = r1 - r0
-            zb = z[:m * cw].reshape(m, cw)
-            sb = tmp[:zb.size].reshape(m, cw)
+            m, size = r1 - r0, (r1 - r0) * cw
+            zb = work.z[:size].reshape(m, cw)
+            sb = work.tmp[:size].reshape(m, cw)
             if cw < _NARROW:
                 for j, key in enumerate(keys):
                     np.add(states[r0:r1], key, out=zb[:, j])
             else:
-                np.add(states[r0:r1], keys[0], out=row_keys[:m])
-                np.add(row_keys[:m, None], steps[None, :cw], out=zb)
+                row_keys = work.row_keys[:m]
+                np.add(states[r0:r1], keys[0], out=row_keys)
+                np.add(row_keys[:, None], _KEYS[None, :cw], out=zb)
             _mix64_inplace(zb, sb)
-            ub = out[r0:r1, c0:c0 + cw] if not normal else u[:zb.size].reshape(m, cw)
-            _as_float64(zb, sb, ub)
+            if not normal:
+                ub = out[r0:r1, c0:c0 + cw]
+                _as_float64(zb, sb, ub)
+                ub += 1.0
+                ub *= _INV_2_64
+                continue
+            # the uniforms take tmp's bytes; once read, the float64 radius
+            # and angle take z's, and the float32 angle and trig tmp's
+            ub = work.tmp[:size].view(np.float64)
+            _as_float64(work.z[:size], work.tmp[:size], ub)
+            ub = ub.reshape(m, cw)
             ub += 1.0
             ub *= _INV_2_64
-            if not normal:
-                continue
-            rb, wb, ab, tb = (buf[:zb.size // 2].reshape(m, cw // 2)
-                              for buf in (radius, wide, ang, trig))
+            half = size // 2
+            wide, narrow = work.z.view(np.float64), work.tmp.view(np.float32)
+            rb, wb = (wide[k * half:(k + 1) * half].reshape(m, cw // 2) for k in (0, 1))
             np.log(ub[:, 0::2], out=rb)
             rb *= -2.0
             np.sqrt(rb, out=rb)
             np.multiply(ub[:, 1::2], _TWO_PI, out=wb)
+            ab, tb = (narrow[k * half:(k + 1) * half].reshape(m, cw // 2) for k in (0, 1))
             np.copyto(ab, wb, casting="same_kind")
             dst = out[r0:r1, c0:min(c0 + cw, n)]
             np.cos(ab, out=tb)
@@ -229,30 +270,47 @@ class RngStream:
         """n standard normals; pairs are consumed in order with a carry slot,
         so scalar and block draws read the same sequence."""
         n = as_count(n, "n", 0)
-        have = 1 if self._cached_normal is not None and n > 0 else 0
-        pairs = (n - have + 1) // 2
-        # room for the partner of an odd last draw, which goes to the carry slot
-        out = np.empty(have + 2 * pairs, dtype=np.float64)
-        if have:
-            out[0] = self._cached_normal
-            self._cached_normal = None
-        if pairs:
-            state = np.array([self.seed_state], dtype=np.uint64)
-            _draw(state, self.counter, out[None, have:], True)
-            self.counter += 2 * pairs
-            if out.size > n:
-                self._cached_normal = float(out[n])
-        return out[:n]
+        out = self._normals_at(0, n, np.empty(n + 1))
+        self._skip_normals(n)
+        return out
+
+    def _normals_at(self, skip, count, buf, work=None):
+        """Normals skip, ..., skip + count - 1 of those normals() would hand
+        out next, as a view of buf (at least count + 1 floats); the stream
+        does not move, so threads can read disjoint runs of it at once."""
+        state = np.array([self.seed_state], dtype=np.uint64)
+        q = skip - (self._cached_normal is not None)  # place among the pairs
+        if q < 0:
+            buf[0] = self._cached_normal
+            _draw(state, self.counter, buf[None, 1:count], True, work)
+            return buf[:count]
+        odd = q & 1  # an odd place starts on a pair's sine
+        _draw(state, self.counter + q - odd, buf[None, :count + odd], True, work)
+        return buf[odd:count + odd]
+
+    def _skip_normals(self, n):
+        """Leave the stream as normals(n) would, drawing at most the carry."""
+        if n == 0:
+            return
+        q = n - (self._cached_normal is not None)
+        carry = float(self._normals_at(n, 1, np.empty(2))[0]) if q & 1 else None
+        self.counter += q + (q & 1)
+        self._cached_normal = carry
 
 
-def _derived_states(stream, stages, lo, hi):
+def _derived_states(stream, stages, lo, hi, out=None, tmp=None):
     """[len(stages), hi-lo] seed states; entry [k, i] is that of
-    stream.derive(stages[k], lo+i)."""
+    stream.derive(stages[k], lo+i). They are written into the uint64 buffer
+    `out` and mixed with the scratch `tmp` where these are given."""
     h1 = [_mix64((stream.seed_state + _GOLDEN * (int(s) + 1)) & _MASK) for s in stages]
-    k = np.arange(lo + 1, hi + 1, dtype=np.uint64)
-    k *= np.uint64(_GOLDEN)
-    z = np.array(h1, dtype=np.uint64)[:, None] + k
-    _mix64_inplace(z, np.empty_like(z))
+    shape = (len(h1), hi - lo)
+    z = np.empty(shape, dtype=np.uint64) if out is None else out[:math.prod(shape)].reshape(shape)
+    for j0 in range(0, hi - lo, PASS_SIZE):
+        j1 = min(j0 + PASS_SIZE, hi - lo)
+        # h1 + GOLDEN * (lo + j + 1) for the columns j of this run
+        heads = np.array([(h + _GOLDEN * (lo + j0 + 1)) & _MASK for h in h1], dtype=np.uint64)
+        np.add(heads[:, None], _KEYS[:j1 - j0], out=z[:, j0:j1])
+    _mix64_inplace(z, np.empty_like(z) if tmp is None else tmp[:z.size].reshape(shape))
     return z
 
 
@@ -284,6 +342,58 @@ def make_uniform_grid(horizon, num_steps):
     return times
 
 
+def _usable_cpus():
+    """The CPUs this process may run on: its affinity set where the system
+    reports one (Linux), else os.cpu_count() (macOS, Windows)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _shares(count, least):
+    """Near-equal [a, b) spans that cover range(count) in order: one per
+    usable CPU, but none with fewer than `least` units, so short work
+    stays one span."""
+    k = max(1, min(_usable_cpus(), count // least))
+    return [(count * i // k, count * (i + 1) // k) for i in range(k)]
+
+
+def _run_spans(work, spans):
+    """Calls work(*span) for every span of the list, each on a thread of
+    its own: the first on the calling thread, the rest on threads started
+    before it and joined after it, each in a copy of the caller's context,
+    so numpy's error state holds there too. One span runs as a plain call,
+    and so does a span whose thread the system refuses to start. The spans
+    must write disjoint output. Once all are joined, the error of the first
+    span that raised is raised: the one a loop over the spans would meet
+    first."""
+    errors = [None] * len(spans)
+
+    def run(k):
+        try:
+            work(*spans[k])
+        except BaseException as e:  # re-raised below, in span order
+            errors[k] = e
+
+    here, threads = [0], []
+    for k in range(1, len(spans)):
+        t = threading.Thread(target=contextvars.copy_context().run, args=(run, k))
+        try:
+            t.start()
+        except RuntimeError:  # "can't start new thread"
+            here.append(k)
+        else:
+            threads.append(t)
+    for k in here:
+        run(k)
+    for t in threads:
+        t.join()
+    for e in errors:
+        if e is not None:
+            raise e
+
+
 def _simulate_block(problem, grid, stream, lo, hi):
     """Samples [lo, hi) of a batch as fresh (states, increments), hi - lo
     rows each, stored step-major: the arrays are [N+1, m, d] and [N, m, d]
@@ -292,34 +402,49 @@ def _simulate_block(problem, grid, stream, lo, hi):
 
     Sample i's step-n increments come from the sub-stream (n+1, i). They
     are drawn straight into increments, in pieces of about one kernel pass:
-    whole steps when a step's slab fits in a pass, runs of samples within
-    one step when it does not, so no seed array is as long as the batch.
+    runs of samples on the outer loop, each taken through its steps on the
+    inner one, whole steps at a time when the block's slab fits in a pass.
     Each piece is scaled by sqrt(dt) and s, written into the states, and
     summed along time in place, X_{n+1} = X_n + s dW_n, while it is still
-    in cache.
+    in cache. The samples are cut into one span per CPU (_shares,
+    _run_spans), each drawing through its own workspace and seed buffer;
+    every value is a function of its sample and step alone, so the arrays
+    are the same bits on any number of CPUs.
     """
     n_steps = grid.size - 1
     d = problem.d
-    states = np.empty((n_steps + 1, hi - lo, d), dtype=np.float64)
-    increments = np.empty((n_steps, hi - lo, d), dtype=np.float64)
+    m = hi - lo
+    states = np.empty((n_steps + 1, m, d), dtype=np.float64)
+    increments = np.empty((n_steps, m, d), dtype=np.float64)
     states[0] = problem.xi.sample_block(stream, lo, hi)
     scale = np.sqrt(np.diff(grid))
     run = max(1, PASS_SIZE // d)  # samples of one step in a pass
-    per = max(1, run // (hi - lo))  # whole steps in a pass
-    for s0 in range(0, n_steps, per):
-        s1 = min(s0 + per, n_steps)
-        for a in range(lo, hi, run):
-            b = min(a + run, hi)
-            # one step's run of samples, or whole steps of the block: either
-            # is contiguous, so the draw's reshape is a view
-            inc = increments[s0:s1, a - lo:b - lo]
-            seeds = _derived_states(stream, range(s0 + 1, s1 + 1), a, b)
-            _draw(seeds.reshape(-1), 0, inc.reshape(-1, d), True)
-            inc *= scale[s0:s1, None, None]
-            x = states[s0:s1 + 1, a - lo:b - lo]
-            np.multiply(inc, problem.sigma, out=x[1:])
-            for n in range(s1 - s0):
-                x[n + 1] += x[n]
+
+    def simulate(a, b, work, seeds):
+        # whole steps in a pass, when the span is the block
+        per = max(1, run // m) if b - a == m else 1
+        for r0 in range(a, b, run):
+            r1 = min(r0 + run, b)
+            for s0 in range(0, n_steps, per):
+                s1 = min(s0 + per, n_steps)
+                # whole steps of the block, or one step of a run: either is
+                # contiguous, so the draw's reshape is a view
+                inc = increments[s0:s1, r0:r1]
+                keys = _derived_states(stream, range(s0 + 1, s1 + 1), lo + r0, lo + r1,
+                                       seeds, work.tmp)
+                _draw(keys.reshape(-1), 0, inc.reshape(-1, d), True, work)
+                inc *= scale[s0:s1, None, None]
+                x = states[s0:s1 + 1, r0:r1]
+                np.multiply(inc, problem.sigma, out=x[1:])
+                for n in range(s1 - s0):
+                    x[n + 1] += x[n]
+
+    # a span's samples hold at least _MIN_PASSES passes; its buffers fit its
+    # largest pass, and its seeds one piece's rows
+    least = -(-_MIN_PASSES * PASS_SIZE // (n_steps * d))
+    size, rows = min(PASS_SIZE, m * n_steps * (d + (d & 1))), min(run, m * n_steps)
+    _run_spans(simulate, [(a, b, _Workspace(size), np.empty(rows, dtype=np.uint64))
+                          for a, b in _shares(m, least)])
     # a non-finite state stays non-finite in every later sum (s dW is never
     # NaN), so the terminal states show every bad sample
     bad = np.flatnonzero(~np.isfinite(states[-1]).all(axis=1))

@@ -1,7 +1,10 @@
 import ctypes
+import threading
 
 import numpy as np
 import pytest
+
+from deepbsde import sde
 
 
 def central_diff_grad(loss_fn, theta, h=1e-6):
@@ -62,3 +65,25 @@ def machine():
 @pytest.fixture
 def tmp_out(tmp_path):
     return tmp_path / "out"
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """workers(k) lets the package's parallel spans see k usable CPUs
+    (sde._usable_cpus), so workers(1) runs every span on the calling
+    thread; it returns the list of the threads started since."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+
+    def use(k):
+        monkeypatch.setattr(sde, "_usable_cpus", lambda: k)
+        started.clear()
+        return started
+
+    return use

@@ -68,6 +68,22 @@ def test_eval_phase_runs_on_a_saved_bank(name, tmp_path):
     assert np.isfinite(ev.values.loss) and np.isfinite(ev.u0)
 
 
+@pytest.mark.parametrize("name", ["hjb_d100", "allen_cahn_d1"])
+def test_eval_phase_is_the_same_on_one_worker_and_on_several(name, tmp_path, workers):
+    # the full held-out batch, as the benchmark evaluates it
+    workload = WORKLOADS[name]
+    inp = workload.build(seed=5)
+    deepbsde.save_params(inp.config.build_bank(seed=6), {}, tmp_path / "params.json")
+    runs = []
+    for k in (1, 3):
+        started = workers(k)
+        runs.append(workload.evaluate(inp, tmp_path).values)
+        assert len(started) == (0 if k == 1 else 4)
+    for field in dataclasses.fields(runs[0]):
+        one, several = (np.asarray(getattr(v, field.name)) for v in runs)
+        assert one.tobytes() == several.tobytes(), field.name
+
+
 def _unread_imports(path):
     """{name: line} of the names a module imports and never reads; a name
     listed in __all__ counts as read."""

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import deepbsde
 
 from deepbsde.bsde import (
     VALUE_BLOCK,
@@ -150,6 +156,67 @@ def test_blocked_rollout_failures_name_whole_batch_step_and_sample(plant, messag
     with pytest.raises(NumericError) as oracle:
         oracle_rollout_loss(p, grid, paths, incs)
     assert str(oracle.value) == message
+
+
+def test_rollouts_are_the_same_on_one_worker_and_on_several(workers):
+    # three workers take one block each
+    p, grid, bank, paths, incs = _two_blocks_and_five("heat", "box", 6, (4,), 53)
+    workers(1)
+    one = rollout_values(p, bank, grid, paths, incs), oracle_rollout_loss(p, grid, paths, incs)
+    started = workers(3)
+    several = rollout_values(p, bank, grid, paths, incs), oracle_rollout_loss(p, grid, paths, incs)
+    assert len(started) == 4
+    assert several[1] == one[1]
+    for name in ("y0_values", "terminal_values", "terminal_gap"):
+        assert getattr(several[0], name).tobytes() == getattr(one[0], name).tobytes()
+    assert several[0].loss == one[0].loss
+
+
+def test_a_failure_in_a_later_worker_names_the_serial_step_and_sample(workers):
+    # the second and third workers' blocks fail at step 2, the first's at 4
+    p, grid, bank, paths, incs = _two_blocks_and_five("heat", "point", 6, (4,), 43)
+    for sample, step in [(5, 4), (VALUE_BLOCK + 7, 2), (_LATE, 2)]:
+        paths[sample, step, :] = np.nan
+    message = f"non-finite value at step 2, sample {VALUE_BLOCK + 7}"
+    for k in (1, 3):
+        started = workers(k)
+        with pytest.raises(NumericError, match=f"^{message}$"):
+            rollout_values(p, bank, grid, paths, incs)
+        with pytest.raises(NumericError, match=f"^{message}$"):
+            oracle_rollout_loss(p, grid, paths, incs)
+        assert len(started) == 2 * (k - 1)
+
+
+_HELD_OUT_BITS = """
+import hashlib, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import deepbsde
+from deepbsde import sde
+sde._usable_cpus = lambda: int(sys.argv[2])
+p = deepbsde.get_problem("hjb", 100)
+grid = deepbsde.make_uniform_grid(p.T, 20)
+bank = deepbsde.SubnetBank.create("point", "independent", 100, 20, hidden=(110, 110), seed=3)
+paths, incs = deepbsde.simulate_paths(p, grid, 1024, deepbsde.RngStream(4))
+v = deepbsde.rollout_values(p, bank, grid, paths, incs)
+est = deepbsde.cole_hopf_mc(1.0, p.g, np.zeros(100), p.T, 20_000, deepbsde.RngStream(5))
+data = [paths, incs, v.y0_values, v.terminal_values, np.array([est.value, est.stderr])]
+print(hashlib.sha256(b"".join(a.tobytes() for a in data)).hexdigest())
+"""
+
+
+def test_parallel_held_out_bits_do_not_depend_on_the_thread_counts():
+    # three workers over two OpenBLAS threads each give the bits of one
+    # worker on one; OpenBLAS reads its count once, so each runs in a child
+    package_root = str(Path(deepbsde.__file__).resolve().parent.parent)
+    digests = []
+    for blas, cpus in (("1", "1"), ("2", "3")):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas)
+        proc = subprocess.run([sys.executable, "-c", _HELD_OUT_BITS, package_root, cpus],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 def test_rollout_values_memory_stays_bounded():

@@ -277,3 +277,14 @@ def test_bank_validation():
         SubnetBank.create("box", "independent", 4, 3, hidden=(0,))
     with pytest.raises(ConfigError, match="unknown activation 'softmax'"):
         SubnetBank.create("point", "shared", 4, 3, hidden=(4,), activation="softmax")
+
+
+@pytest.mark.parametrize("d, num_steps, message", [
+    ("3", 3, "d must be an integer >= 1, got '3'"),
+    (None, 3, "d must be an integer >= 1, got None"),
+    (3, "3", "num_steps must be an integer >= 1, got '3'"),
+], ids=["string-d", "no-d", "string-steps"])
+def test_bank_checks_its_counts_before_the_default_widths(d, num_steps, message):
+    # with no hidden widths given, "3" once raised TypeError in default_hidden
+    with pytest.raises(ConfigError, match=message):
+        SubnetBank.create("point", "independent", d, num_steps)

@@ -167,6 +167,98 @@ def test_cole_hopf_rejects_non_finite_settings(setting, message):
         cole_hopf_mc(g=lambda x: x[:, 0], stream=RngStream(0), **args)
 
 
+# chunks of 4,681 rows at d=7 hold an odd count of normals (32,767), so
+# every other chunk starts on the sine of a pair; 56,175 samples make 13
+# chunks, the last of three rows, enough for three workers
+_D, _N = 7, 56_175
+
+
+def _carrying_stream():
+    s = RngStream(83)
+    s.normals(5)  # leaves a carry
+    return s
+
+
+def _seven_d_problem():
+    return get_problem("heat", _D, {"T": 0.7})
+
+
+@pytest.mark.parametrize("n", [_N, _N + 1], ids=["odd", "even"])
+@pytest.mark.parametrize("route", ["cole_hopf", "feynman_kac"])
+def test_monte_carlo_is_the_same_on_one_worker_and_on_several(workers, route, n):
+    def run():
+        stream = _carrying_stream()
+        p = _seven_d_problem()
+        if route == "cole_hopf":
+            est = cole_hopf_mc(0.5, p.g, np.full(_D, 0.1), 0.7, n, stream)
+        else:
+            est = mc_feynman_kac(p, np.full(_D, 0.1), n, make_uniform_grid(0.7, 3), stream)
+        return est, stream.counter, stream._cached_normal
+
+    workers(1)
+    one = run()
+    started = workers(3)
+    several = run()
+    assert len(started) == 2
+    assert several == one
+    # the stream is left where drawing all the normals at once leaves it:
+    # past the carry, an odd count sets a new one and an even count none
+    plain = _carrying_stream()
+    plain.normals(_D * n)
+    assert one[1:] == (plain.counter, plain._cached_normal)
+    assert (one[2] is None) == (n % 2 == 1)
+
+
+def test_monte_carlo_reads_the_streams_next_normals(workers):
+    # the estimate is that of the plain sequence the stream hands out
+    workers(3)
+    p = _seven_d_problem()
+    scale = p.sigma * math.sqrt(p.T)
+    est = mc_feynman_kac(p, np.zeros(7), _N, make_uniform_grid(0.7, 3), _carrying_stream())
+    z = _carrying_stream().normals(_D * _N).reshape(_N, _D)
+    assert est.value == float(np.mean(p.g(scale * z)))
+
+
+def test_a_worker_error_is_the_serial_one(workers):
+    # g fails on a chunk with a far point: from stream 14 these are chunks
+    # 4 and 8, which three workers take in their second and third spans;
+    # chunk 4's error is raised on any number of workers
+    chunks = []
+
+    def g(x):
+        far = np.flatnonzero(np.abs(x).max(axis=1) > 4.5 * math.sqrt(2.0))
+        if far.size:
+            chunks.append(x.shape[0])
+            raise ValueError(f"far point {x[far[0], 0]!r}")
+        return x[:, 0]
+
+    messages = []
+    for k in (1, 3):
+        workers(k)
+        chunks.clear()
+        with pytest.raises(ValueError) as caught:
+            cole_hopf_mc(1.0, g, np.zeros(_D), 1.0, _N, RngStream(14))
+        messages.append((str(caught.value), len(chunks)))
+    # the serial loop stops at chunk 4; the third span fails on its own too
+    assert messages[0][0] == messages[1][0]
+    assert (messages[0][1], messages[1][1]) == (1, 2)
+
+
+def test_workers_keep_the_callers_numpy_error_state(workers):
+    # an overflow in a worker's g raises under the caller's errstate, where
+    # it would warn and end as a non-finite value in a fresh one
+    workers(3)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        cole_hopf_mc(1.0, lambda x: np.exp(400.0 * x[:, 0]), np.zeros(7), 1.0, _N,
+                     RngStream(2))
+
+
+def test_cole_hopf_rejects_a_ragged_start():
+    # it once failed in numpy's np.size with ValueError
+    with pytest.raises(ConfigError, match="'x0' must be a finite number"):
+        cole_hopf_mc(1.0, lambda x: x[:, 0], [[0.0], [1.0, 2.0]], 1.0, 1000, RngStream(0))
+
+
 def test_monte_carlo_values_pinned():
     # normal-derived, so pinned like the normal digests in test_sde.py
     hjb = get_problem("hjb", 100)
@@ -277,8 +369,10 @@ def test_fd_checks_its_counts_and_start(setting, message):
     # 50.5 nodes once marched 50, a fractional step count raised TypeError,
     # a NaN start ended in NumericError and [0.1, 5.0] silently read 0.1
     args = {"x0": 0.0, "nodes": 50, "time_steps": 10} | setting
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ConfigError, match=message) as caught:
         fd_semilinear_1d(get_problem("allen_cahn", 1), **args)
+    # x0 is an argument, not a config override
+    assert "override" not in str(caught.value)
 
 
 def test_fd_interpolates_at_x0():

@@ -1,11 +1,17 @@
 import hashlib
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import deepbsde
 from deepbsde.errors import ConfigError, NumericError, ShapeError
 from deepbsde.problems import ProblemSpec, XiSampler, get_problem
 from deepbsde.sde import (
@@ -13,7 +19,9 @@ from deepbsde.sde import (
     RngStream,
     _as_float64,
     _draw,
+    _run_spans,
     _simulate_block,
+    _usable_cpus,
     block_normals,
     block_uniforms,
     box_muller_pair,
@@ -486,3 +494,113 @@ def test_stream_draws_check_their_count(kind, n):
     with pytest.raises(ConfigError, match="n must be an integer >= 0"):
         getattr(s, kind)(n)
     assert s.counter == 0 and getattr(s, kind)(np.int64(0)).shape == (0,)
+
+
+# -- parallel spans -------------------------------------------------------------
+
+@pytest.mark.parametrize("d, batch, steps", [(1, 100_000, 40), (100, 4_096, 20)],
+                         ids=["d1", "d100"])
+def test_simulation_is_the_same_on_one_worker_and_on_several(workers, d, batch, steps):
+    # the benchmark workloads' held-out shapes; three workers on any machine
+    p = _free_problem(d, 1.7)
+    grid = make_uniform_grid(1.0, steps)
+    workers(1)
+    one = simulate_paths(p, grid, batch, RngStream(61))
+    started = workers(3)
+    several = simulate_paths(p, grid, batch, RngStream(61))
+    assert len(started) == 2
+    for a, b in zip(one, several):
+        assert a.tobytes() == b.tobytes()
+
+
+def _stream_after(seed, first):
+    s = RngStream(seed)
+    s.normals(first)
+    return s
+
+
+@pytest.mark.parametrize("first", [0, 2, 3], ids=["fresh", "even", "carry"])
+def test_stream_reads_any_run_of_its_normals_without_moving(first):
+    # what a Monte Carlo span reads: normals skip, ..., skip + count - 1 of
+    # those normals() would hand out next, from an odd place or a carry too
+    ahead = _stream_after(5, first).normals(40)
+    s = _stream_after(5, first)
+    for skip in range(12):
+        for count in (0, 1, 2, 5, 6):
+            got = s._normals_at(skip, count, np.empty(count + 1))
+            assert got.tobytes() == ahead[skip:skip + count].tobytes(), (skip, count)
+    assert (s.counter, s._cached_normal) == (_stream_after(5, first).counter,
+                                             _stream_after(5, first)._cached_normal)
+    for n in range(7):
+        skipped, drawn = _stream_after(5, first), _stream_after(5, first)
+        skipped._skip_normals(n)
+        drawn.normals(n)
+        assert (skipped.counter, skipped._cached_normal) == (drawn.counter, drawn._cached_normal)
+
+
+def test_span_errors_are_raised_in_span_order():
+    # every span runs to its end; the first span's error wins, as in a loop
+    ran = []
+
+    def work(k):
+        ran.append(k)
+        if k > 0:
+            raise ValueError(f"span {k}")
+
+    with pytest.raises(ValueError, match="^span 1$"):
+        _run_spans(work, [(0,), (1,), (2,)])
+    assert sorted(ran) == [0, 1, 2]
+
+
+def test_a_span_whose_thread_will_not_start_runs_on_the_caller(workers, monkeypatch):
+    # a system out of threads refuses with RuntimeError; the work still runs
+    p = _free_problem(3, 1.1)
+    grid = make_uniform_grid(1.0, 20)
+    workers(1)
+    one = simulate_paths(p, grid, 20_000, RngStream(9))
+
+    def refuse(self):
+        raise RuntimeError("can't start new thread")
+
+    workers(3)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    several = simulate_paths(p, grid, 20_000, RngStream(9))
+    for a, b in zip(one, several):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_spans_keep_the_callers_numpy_error_state():
+    # each thread runs in a copy of the caller's context
+    seen = [None] * 3
+
+    def work(k):
+        seen[k] = np.geterr()["over"]
+
+    with np.errstate(over="raise"):
+        _run_spans(work, [(0,), (1,), (2,)])
+    assert seen == ["raise"] * 3
+
+
+def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch):
+    # macOS and Windows have no sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _usable_cpus() == 1
+
+
+def test_importing_the_package_starts_no_thread():
+    # threads start only inside a call that splits its work; no pool is
+    # built at import, and concurrent.futures is never loaded
+    package_root = str(Path(deepbsde.__file__).resolve().parent.parent)
+    code = """
+import sys, threading
+sys.path.insert(0, sys.argv[1])
+import deepbsde
+print("concurrent.futures" in sys.modules, threading.active_count())
+"""
+    proc = subprocess.run([sys.executable, "-c", code, package_root],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "1"]
